@@ -208,7 +208,10 @@ run_backends() {
   cmake -B build-ci/asan -S . -DSOI_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build build-ci/asan -j "${jobs}" --target test_backends
-  (cd build-ci/asan && ./tests/test_backends)
+  # One OpenMP thread: libgomp's thread pool does not survive fork, so a
+  # shm world forked after an earlier test's parallel region would hang in
+  # its first parallel region.
+  (cd build-ci/asan && OMP_NUM_THREADS=1 ./tests/test_backends)
   # TSan: the concurrent-lookup registry tests plus the same conformance
   # suite. The shm backend's children are single-threaded (fork happens
   # before any thread spawns), so TSan's fork caveats don't apply; the sim
@@ -227,6 +230,10 @@ run_backends() {
   build-ci/tier1/tools/soifft dist --n 4096 --p 4 --check \
     --transport sim >/dev/null
   build-ci/tier1/tools/soifft dist --n 4096 --p 4 --check \
+    --transport shm >/dev/null
+  # Blocks of ~1.3 MB per rank pair: every exchange overflows the 1 MiB shm
+  # ring, so blocked senders, doorbells and in-place landing all run.
+  build-ci/tier1/tools/soifft dist --n 1048576 --p 4 --check \
     --transport shm >/dev/null
   build-ci/tier1/tools/soifft dist --n 4096 --p 4 --check \
     --transport shm --engine scalar >/dev/null

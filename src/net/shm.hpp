@@ -14,20 +14,22 @@
 // carry the same integrity envelope SimMPI stamps: a CRC32C over the whole
 // payload plus a per-(src → dst) sequence number, verified at delivery
 // (PayloadCorruptionError on mismatch — shared-memory corruption is
-// DETECTED, never silently consumed). The receiver drains its ring into a
-// process-local mailbox and matches (src, tag) out of order there, exactly
-// like SimMPI's mailbox — so matching semantics, any-source receives,
-// request drop rules and collective-channel ordering are bit-compatible
-// across the two backends.
+// DETECTED, never silently consumed). The receiver drains its ring,
+// landing each block of a posted all-to-all straight in the caller's
+// buffer and everything else in a process-local mailbox, where (src, tag)
+// match out of order exactly like SimMPI's mailbox — so matching
+// semantics, any-source receives, request drop rules and
+// collective-channel ordering are bit-compatible across the two backends.
 //
 // Flow control is deadlock-free by construction: a sender blocked on a
-// full destination ring drains its OWN inbox while it waits, so two ranks
-// streaming into each other always make progress. Every blocking wait in a
-// child is a SHORT timed wait that re-checks the world abort flag, so a
-// dead peer can never hang the world: the failing rank records a typed
-// error in its slot and flips the flag; every blocked peer unwinds with
-// WorldAbortedError; the parent rethrows the first primary error by rank
-// order (exactly run_ranks' contract).
+// full destination ring drains its OWN inbox, then sleeps on its own
+// ring's doorbell, which the destination rings when it frees space — so
+// two ranks streaming into each other always make progress, without
+// polling. Every sleep is also capped by a short staleness bound that
+// re-checks the world abort flag, so a dead peer can never hang the world:
+// the failing rank records a typed error in its slot and flips the flag;
+// every blocked peer unwinds with WorldAbortedError; the parent rethrows
+// the first primary error by rank order (exactly run_ranks' contract).
 //
 // Capability sheet: no fault injector and no latency emulation (the
 // kernel's scheduler is the only source of nondeterminism) — requesting

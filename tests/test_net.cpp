@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <mutex>
 #include <numeric>
+#include <thread>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -28,22 +30,32 @@ cplx val(int a, int b) { return {static_cast<double>(a), static_cast<double>(b)}
 // --- wire-latency emulation ---------------------------------------------------
 
 TEST(WireLatency, DelaysVisibilityButNotPayloads) {
-  // A 2 ms emulated wire: the receiver must sleep out the flight time
-  // (elapsed >= latency) yet see exactly the bytes that were sent.
+  // A 2 ms emulated wire: the receiver must sleep out the flight time yet
+  // see exactly the bytes that were sent. The flight is timed from a send
+  // timestamp that travels in the message, so scheduling delay on either
+  // side can only lengthen the measured time, never shorten it.
   NetOptions opts;
   opts.wire_latency_us = 2000;
-  run_ranks(2, opts, [](Comm& c) {
+  std::atomic<bool> send_returned{false};
+  run_ranks(2, opts, [&](Comm& c) {
+    const auto now_s = [] {
+      return std::chrono::duration<double>(
+                 std::chrono::steady_clock::now().time_since_epoch())
+          .count();
+    };
     if (c.rank() == 0) {
-      cvec data = {val(5, 6)};
-      Timer t;
+      cvec data = {val(5, 6), cplx(now_s(), 0.0)};
       c.send(1, 3, data);
-      // The sender never blocks on the wire (buffered semantics).
-      EXPECT_LT(t.seconds(), 1e-3);
+      // Buffered semantics: the send returns before any receive is posted
+      // (rank 1 waits for this flag first, so a blocking send deadlocks).
+      send_returned.store(true, std::memory_order_release);
     } else {
-      cvec got(1);
-      Timer t;
+      while (!send_returned.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      cvec got(2);
       c.recv(0, 3, got);
-      EXPECT_GE(t.seconds(), 1.5e-3);
+      EXPECT_GE(now_s() - got[1].real(), 1.5e-3);
       EXPECT_EQ(got[0], val(5, 6));
     }
   });
