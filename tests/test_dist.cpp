@@ -61,9 +61,12 @@ cvec run_distributed(std::int64_t n, int p, const cvec& x, MakePlan&& make,
 
 // --- SOI distributed --------------------------------------------------------------
 
+// Every field of a parameter struct is 8 bytes wide, so the struct has no
+// padding. gtest names each case by printing the object's bytes, and
+// uninitialised padding would give the case a different name on every run.
 struct DistCase {
   std::int64_t n;
-  int p;
+  std::int64_t p;
 };
 
 class DistSoi : public ::testing::TestWithParam<DistCase> {};
@@ -179,7 +182,7 @@ TEST(DistSoiExtra, WrongLocalSizeThrows) {
 
 struct SprCase {
   std::int64_t n;
-  int ranks;
+  std::int64_t ranks;
   std::int64_t spr;
 };
 
