@@ -192,13 +192,14 @@ run_topology() {
 
 run_backends() {
   echo "=== backends: transport/engine registries + shm suites under sanitizers ==="
-  # Layering lint: after the plan-ABI refactor, the SOI executor and the
-  # serving layer see rank communication only through net/transport.hpp —
-  # a concrete SimMPI include would re-couple them to one backend. Any
-  # match is a violation and fails the stage.
-  if grep -rn '#include "net/comm.hpp"' src/soi src/serve; then
-    echo "layering violation: src/soi and src/serve must not include" \
-      "net/comm.hpp (use the Transport ABI)" >&2
+  # Layering lint: outside src/net, code sees rank communication only
+  # through net/transport.hpp and net/registry.hpp — a concrete backend
+  # include (SimMPI's net/comm.hpp, shm's net/shm.hpp) would re-couple it
+  # to one backend. Tests may include them. Any match fails the stage.
+  if grep -rnE '#include "net/(comm|shm)\.hpp"' src tools bench examples \
+      --exclude-dir=net; then
+    echo "layering violation: only src/net may include net/comm.hpp or" \
+      "net/shm.hpp (use the Transport ABI)" >&2
     exit 1
   fi
   # ASan: registry lifecycle, the conformance suite over every launchable
@@ -245,6 +246,12 @@ run_backends() {
     exit 1
   fi
   grep -q "registered backends" build-ci/backends_err.txt
+  if build-ci/tier1/tools/soifft dist --n 4096 --p 4 \
+      --engine no-such-engine >/dev/null 2>build-ci/backends_err.txt; then
+    echo "unknown engine name must be rejected" >&2
+    exit 1
+  fi
+  grep -q "registered engines" build-ci/backends_err.txt
   echo "backends OK"
 }
 

@@ -9,10 +9,6 @@
 #include "common/error.hpp"
 #include "fft/plan.hpp"
 
-#ifdef SOI_WITH_FFTW
-#include <fftw3.h>
-#endif
-
 namespace soi::fft {
 
 namespace {
@@ -145,93 +141,6 @@ class ScalarBatchT final : public BatchTransformT<Real> {
   FftPlanT<Real> plan_;
 };
 
-#ifdef SOI_WITH_FFTW
-
-// ---------------------------------------------------------------------------
-// "fftw" — FFTW's plan_many interface (double precision; float via the
-// fftwf API). Built only with -DSOI_WITH_FFTW=ON.
-// ---------------------------------------------------------------------------
-
-class FftwBatchD final : public BatchTransformT<double> {
- public:
-  explicit FftwBatchD(std::int64_t n) : n_(n) {}
-
-  [[nodiscard]] std::int64_t size() const override { return n_; }
-  [[nodiscard]] std::int64_t batch_width() const override { return 1; }
-  [[nodiscard]] std::int64_t effective_width(std::int64_t) const override {
-    return 1;
-  }
-  [[nodiscard]] std::int64_t scratch_bytes(std::int64_t) const override {
-    return 0;  // FFTW owns its scratch
-  }
-
-  void forward(cspan_t<double> in, mspan_t<double> out,
-               std::int64_t count) const override {
-    run(in.data(), out.data(), count, FFTW_FORWARD, /*scale=*/false);
-  }
-  void inverse(cspan_t<double> in, mspan_t<double> out,
-               std::int64_t count) const override {
-    run(in.data(), out.data(), count, FFTW_BACKWARD, /*scale=*/true);
-    const double s = 1.0 / static_cast<double>(n_);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(n_ * count); ++i) {
-      out[i] *= s;
-    }
-  }
-  void forward_strided(cspan_t<double> in, BatchLayout lin,
-                       mspan_t<double> out, BatchLayout lout,
-                       std::int64_t count) const override {
-    run_strided(in, lin, out, lout, count, FFTW_FORWARD, false);
-  }
-  void inverse_strided(cspan_t<double> in, BatchLayout lin,
-                       mspan_t<double> out, BatchLayout lout,
-                       std::int64_t count) const override {
-    run_strided(in, lin, out, lout, count, FFTW_BACKWARD, true);
-    const double s = 1.0 / static_cast<double>(n_);
-    for (std::int64_t b = 0; b < count; ++b) {
-      for (std::int64_t j = 0; j < n_; ++j) {
-        out[static_cast<std::size_t>(b * lout.batch_stride +
-                                     j * lout.elem_stride)] *= s;
-      }
-    }
-  }
-
- private:
-  void run(const cplx* in, cplx* out, std::int64_t count, int sign,
-           bool) const {
-    const int n = static_cast<int>(n_);
-    // FFTW_ESTIMATE keeps planning cheap and the input untouched.
-    fftw_plan p = fftw_plan_many_dft(
-        1, &n, static_cast<int>(count),
-        const_cast<fftw_complex*>(reinterpret_cast<const fftw_complex*>(in)),
-        nullptr, 1, n, reinterpret_cast<fftw_complex*>(out), nullptr, 1, n,
-        sign, FFTW_ESTIMATE | FFTW_PRESERVE_INPUT);
-    fftw_execute(p);
-    fftw_destroy_plan(p);
-  }
-
-  void run_strided(cspan_t<double> in, BatchLayout lin, mspan_t<double> out,
-                   BatchLayout lout, std::int64_t count, int sign,
-                   bool) const {
-    const int n = static_cast<int>(n_);
-    fftw_plan p = fftw_plan_many_dft(
-        1, &n, static_cast<int>(count),
-        const_cast<fftw_complex*>(
-            reinterpret_cast<const fftw_complex*>(in.data())),
-        nullptr, static_cast<int>(lin.elem_stride),
-        static_cast<int>(lin.batch_stride),
-        reinterpret_cast<fftw_complex*>(out.data()), nullptr,
-        static_cast<int>(lout.elem_stride),
-        static_cast<int>(lout.batch_stride), sign,
-        FFTW_ESTIMATE | FFTW_PRESERVE_INPUT);
-    fftw_execute(p);
-    fftw_destroy_plan(p);
-  }
-
-  std::int64_t n_;
-};
-
-#endif  // SOI_WITH_FFTW
-
 // ---------------------------------------------------------------------------
 // Registry plumbing (mirrors TransportRegistry)
 // ---------------------------------------------------------------------------
@@ -295,9 +204,6 @@ const Entry& lookup_entry(ImplT& im, const std::string& name) {
     std::ostringstream os;
     os << "unknown fft engine '" << name << "'; registered engines:";
     for (const auto& [n, e] : im.engines) os << " " << n;
-    if (name == "fftw") {
-      os << " (rebuild with -DSOI_WITH_FFTW=ON to enable 'fftw')";
-    }
     throw InvalidArgumentError(os.str());
   }
   return it->second;
@@ -371,19 +277,6 @@ void ensure_builtins() {
           return std::unique_ptr<const BatchTransformF>(
               new ScalarBatchT<float>(n));
         });
-#ifdef SOI_WITH_FFTW
-    reg.register_engine(
-        EngineInfo{"fftw", /*simd_batched=*/false, /*compute_scale=*/1.0},
-        [](std::int64_t n, std::int64_t) {
-          return std::unique_ptr<const BatchTransform>(new FftwBatchD(n));
-        },
-        [](std::int64_t n, std::int64_t) -> std::unique_ptr<
-            const BatchTransformF> {
-          throw InvalidArgumentError(
-              "fft engine 'fftw': single precision is not wrapped yet — "
-              "use engine 'batch' or 'scalar' for float transforms");
-        });
-#endif
   });
 }
 

@@ -10,9 +10,6 @@
 //                layouts handled by gather/scatter staging. The portable
 //                reference point the autotuner prices SIMD speedups
 //                against.
-//   * "fftw"   — thin wrapper over FFTW's plan_many interface, built only
-//                with -DSOI_WITH_FFTW=ON. Absent from default builds;
-//                asking for it then names the build flag in the error.
 //
 // PlanRegistry keys and wisdom records carry the engine name (wisdom v5),
 // so a plan tuned against one executor is never silently replayed on
@@ -75,7 +72,7 @@ using BatchTransformF = BatchTransformT<float>;
 /// Static description of one registered engine — the modeled scorer reads
 /// compute_scale to price candidates per engine without running them.
 struct EngineInfo {
-  /// Registered name ("batch", "scalar", "fftw").
+  /// Registered name ("batch", "scalar").
   const char* name = "?";
   /// Kernels vectorize across transforms (SoA batch regime).
   bool simd_batched = false;

@@ -1,16 +1,19 @@
 #include "net/comm.hpp"
 
-#include "net/erasure.hpp"
-
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstring>
+#include <deque>
 #include <exception>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
 #include <unordered_set>
 
-#include "common/env.hpp"
+#include "net/erasure.hpp"
 #include "net/registry.hpp"
 
 namespace soi::net {
@@ -18,21 +21,6 @@ namespace soi::net {
 namespace detail {
 
 namespace {
-// Internal tags (user tags must be >= 0).
-constexpr int kTagBcast = -2;
-constexpr int kTagGather = -3;
-constexpr int kTagAllgather = -4;
-constexpr int kTagAlltoall = -5;
-constexpr int kTagAlltoallv = -6;
-// Nonblocking collectives get a unique tag per posting: kTagICollBase
-// minus (sequence * kMaxCollChannels + channel), where the sequence number
-// is per (rank, channel). All ranks post the collectives of one channel in
-// the same program order, so the counters agree world-wide and concurrent
-// in-flight collectives of one channel cannot cross-match; different
-// channels occupy disjoint tag residues, so their postings may interleave
-// in any per-rank order (the multi-tenant co-scheduling contract).
-constexpr int kTagICollBase = -16;
-
 // When faults are active but no deadline was configured, waits must still
 // be bounded or an injected drop would hang the world.
 constexpr double kDefaultFaultTimeoutMs = 50.0;
@@ -80,9 +68,6 @@ struct World {
       : nranks(n),
         boxes(static_cast<std::size_t>(n)),
         sent_bytes(static_cast<std::size_t>(n), 0),
-        coll_seq(static_cast<std::size_t>(n) *
-                     static_cast<std::size_t>(kMaxCollChannels),
-                 0),
         chan_seq(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
                  0) {}
 
@@ -91,17 +76,6 @@ struct World {
   // Per-rank sent-payload counters; each slot is only ever written by its
   // own rank's thread (senders update their own entry).
   std::vector<std::int64_t> sent_bytes;
-  // Per-rank, per-channel nonblocking-collective sequence numbers (slot
-  // rank * kMaxCollChannels + channel; same ownership rule).
-  std::vector<int> coll_seq;
-
-  /// Tag of this rank's next collective posting on `channel`.
-  int next_coll_tag(int rank, int channel) {
-    const int seq = coll_seq[static_cast<std::size_t>(rank) *
-                                 static_cast<std::size_t>(kMaxCollChannels) +
-                             static_cast<std::size_t>(channel)]++;
-    return kTagICollBase - (seq * kMaxCollChannels + channel);
-  }
   // Per-channel (src*nranks+dst) message sequence numbers; slot src*n+dst
   // is only ever touched by rank src's thread.
   std::vector<std::uint64_t> chan_seq;
@@ -160,10 +134,8 @@ struct World {
   std::condition_variable red_cv;
   int red_count = 0;
   std::uint64_t red_gen = 0;
-  double red_acc = 0.0;
-  double red_result = 0.0;
-  std::vector<double> red_vec_acc;
-  std::vector<double> red_vec_result;
+  std::vector<double> red_acc;
+  std::vector<double> red_result;
 
   // Set when a rank's body failed: every blocked wait unwinds with
   // WorldAbortedError instead of deadlocking on a peer that will never
@@ -209,8 +181,6 @@ struct World {
     }
     box.cv.notify_all();
   }
-
-  Message pop(int me, int src, int tag, std::size_t expected_bytes);
 };
 
 void World::configure(const NetOptions& opts) {
@@ -467,66 +437,6 @@ void cancel_collective(World& w, int owner, int tag) {
 
 }  // namespace
 
-Message World::pop(int me, int src, int tag, std::size_t expected_bytes) {
-  auto& box = boxes[static_cast<std::size_t>(me)];
-  std::unique_lock<std::mutex> lock(box.mu);
-  const double base = timeout_ms.load(std::memory_order_relaxed);
-  const bool emulate_wire = latency_emulated();
-  if (base <= 0) {
-    for (;;) {
-      check_alive();
-      if (auto m = take_verified_locked(*this, box, src, tag, expected_bytes))
-        return std::move(*m);
-      // A match still in emulated wire flight will not be re-announced;
-      // wake exactly when it lands. Otherwise sleep until a push.
-      if (emulate_wire) {
-        if (auto at = earliest_match_locked(box, src, tag)) {
-          box.cv.wait_until(lock, *at);
-          continue;
-        }
-      }
-      box.cv.wait(lock);
-    }
-  }
-  double t = base;
-  int attempt = 0;
-  auto deadline = std::chrono::steady_clock::now() + to_duration(t);
-  for (;;) {
-    check_alive();
-    if (auto m = take_verified_locked(*this, box, src, tag, expected_bytes))
-      return std::move(*m);
-    auto wake = deadline;
-    if (emulate_wire) {
-      if (auto at = earliest_match_locked(box, src, tag)) {
-        wake = std::min(wake, *at);
-      }
-    }
-    if (box.cv.wait_until(lock, wake) == std::cv_status::timeout &&
-        std::chrono::steady_clock::now() >= deadline) {
-      // The bounded wait expired: count it whether or not the recovery
-      // attempt below succeeds (FaultStats::timeouts documents "expired
-      // at least once", not "expired unrecoverably").
-      stats.timeouts.fetch_add(1, std::memory_order_relaxed);
-      promote_delayed_locked(box);
-      const int maxr = max_retries.load(std::memory_order_relaxed);
-      if (injector.load(std::memory_order_acquire) != nullptr && maxr > 0) {
-        requeue_retained_locked(*this, box, src, tag);
-      }
-      if (auto m = take_verified_locked(*this, box, src, tag, expected_bytes))
-        return std::move(*m);
-      if (++attempt > maxr) {
-        std::ostringstream os;
-        os << "recv: timed out waiting for rank " << src << " tag " << tag
-           << " after " << attempt << " attempt(s), base deadline " << base
-           << " ms";
-        throw CommTimeoutError(os.str());
-      }
-      t *= 2;  // exponential backoff
-      deadline = std::chrono::steady_clock::now() + to_duration(t);
-    }
-  }
-}
-
 }  // namespace detail
 
 void SimRequest::release() noexcept {
@@ -546,7 +456,7 @@ int Comm::size() const { return world_->nranks; }
 namespace {
 constexpr TransportCaps kSimCaps{
     /*name=*/"sim",
-    /*max_coll_channels=*/kMaxCollChannels,
+    /*max_coll_channels=*/kMaxChannels,
     /*alltoall_algo_choice=*/true,
     /*checksums=*/true,
     /*fault_injection=*/true,
@@ -580,8 +490,10 @@ int Comm::max_retries() const {
 FaultStats Comm::fault_stats() const { return world_->stats.snapshot(); }
 
 namespace {
+/// Buffered send. Only user-tag (>= 0) sends record a kP2P event; the
+/// reserved tags belong to collectives, which record one aggregated event.
 void send_impl(detail::World& w, int src, int dst, int tag, const void* data,
-               std::size_t bytes, bool record) {
+               std::size_t bytes) {
   SOI_CHECK(dst >= 0 && dst < w.nranks,
             "send: destination rank " << dst << " out of range");
   const FaultInjector* inj =
@@ -609,7 +521,7 @@ void send_impl(detail::World& w, int src, int dst, int tag, const void* data,
   }
   w.sent_bytes[static_cast<std::size_t>(src)] +=
       static_cast<std::int64_t>(bytes);
-  if (record) {
+  if (tag >= 0) {
     w.traffic.record({CommEvent::Kind::kP2P, 2,
                       static_cast<std::int64_t>(bytes), 1});
   }
@@ -678,34 +590,11 @@ void send_impl(detail::World& w, int src, int dst, int tag, const void* data,
   box.cv.notify_all();
 }
 
-void recv_impl(detail::World& w, int me, int src, int tag, void* data,
-               std::size_t bytes) {
-  SOI_CHECK(src == kAnySource || (src >= 0 && src < w.nranks),
-            "recv: source rank " << src << " out of range");
-  detail::Message m = w.pop(me, src, tag, bytes);
-  if (bytes > 0) std::memcpy(data, m.payload.data(), bytes);
-}
 }  // namespace
-
-void Comm::send_bytes(int dst, int tag, const void* data, std::size_t bytes) {
-  SOI_CHECK(tag >= 0, "user tags must be non-negative (got " << tag << ")");
-  send_impl(*world_, rank_, dst, tag, data, bytes, /*record=*/true);
-}
-
-void Comm::recv_bytes(int src, int tag, void* data, std::size_t bytes) {
-  SOI_CHECK(tag >= 0, "user tags must be non-negative (got " << tag << ")");
-  recv_impl(*world_, rank_, src, tag, data, bytes);
-}
-
-bool Comm::try_recv(int src, int tag, mspan data) {
-  Request req = irecv(src, tag, data);
-  return test(req);
-}
 
 Request Comm::isend_bytes(int dst, int tag, const void* data,
                           std::size_t bytes) {
-  SOI_CHECK(tag >= 0, "user tags must be non-negative (got " << tag << ")");
-  send_impl(*world_, rank_, dst, tag, data, bytes, /*record=*/true);
+  send_impl(*world_, rank_, dst, tag, data, bytes);
   auto req = std::make_unique<SimRequest>();
   req->kind_ = SimRequest::Kind::kSend;
   req->done_ = true;  // buffered: complete at post time
@@ -715,12 +604,7 @@ Request Comm::isend_bytes(int dst, int tag, const void* data,
   return Request(std::move(req));
 }
 
-Request Comm::isend(int dst, int tag, cspan data) {
-  return isend_bytes(dst, tag, data.data(), data.size_bytes());
-}
-
 Request Comm::irecv_bytes(int src, int tag, void* data, std::size_t bytes) {
-  SOI_CHECK(tag >= 0, "user tags must be non-negative (got " << tag << ")");
   SOI_CHECK(src == kAnySource || (src >= 0 && src < world_->nranks),
             "irecv: source rank " << src << " out of range");
   auto req = std::make_unique<SimRequest>();
@@ -733,64 +617,11 @@ Request Comm::irecv_bytes(int src, int tag, void* data, std::size_t bytes) {
   return Request(std::move(req));
 }
 
-Request Comm::irecv(int src, int tag, mspan data) {
-  return irecv_bytes(src, tag, data.data(), data.size_bytes());
-}
-
 Request Comm::ialltoall(cspan send_data, mspan recv_data, std::int64_t count,
                         AlltoallAlgo algo, int channel) {
-  auto& w = *world_;
-  const int p = w.nranks;
-  const auto block = static_cast<std::size_t>(count);
-  SOI_CHECK(count >= 0, "ialltoall: negative count");
-  SOI_CHECK(channel >= 0 && channel < kMaxCollChannels,
-            "ialltoall: channel " << channel << " out of range [0, "
-                                  << kMaxCollChannels << ")");
-  SOI_CHECK(send_data.size() >= block * static_cast<std::size_t>(p),
-            "ialltoall: send buffer too small");
-  SOI_CHECK(recv_data.size() >= block * static_cast<std::size_t>(p),
-            "ialltoall: recv buffer too small");
-  const int tag = w.next_coll_tag(rank_, channel);
-
-  // Own block: straight copy at post time.
-  std::copy(send_data.begin() + static_cast<std::ptrdiff_t>(block) * rank_,
-            send_data.begin() + static_cast<std::ptrdiff_t>(block) * (rank_ + 1),
-            recv_data.begin() + static_cast<std::ptrdiff_t>(block) * rank_);
-
-  // Every send is posted here (buffered); only the receive side is
-  // deferred. The algo picks the posting order, mirroring the blocking
-  // schedules.
-  if (algo == AlltoallAlgo::kPairwise) {
-    for (int step = 1; step < p; ++step) {
-      const int to = (rank_ + step) % p;
-      send_impl(w, rank_, to, tag,
-                send_data.data() + block * static_cast<std::size_t>(to),
-                block * sizeof(cplx), /*record=*/false);
-    }
-  } else {
-    for (int r = 0; r < p; ++r) {
-      if (r == rank_) continue;
-      send_impl(w, rank_, r, tag,
-                send_data.data() + block * static_cast<std::size_t>(r),
-                block * sizeof(cplx), /*record=*/false);
-    }
-  }
-  if (rank_ == 0) {
-    w.traffic.record(
-        {CommEvent::Kind::kAlltoall, p,
-         static_cast<std::int64_t>(block * sizeof(cplx)) * (p - 1), p - 1});
-  }
-
-  auto req = std::make_unique<SimRequest>();
-  req->kind_ = SimRequest::Kind::kColl;
-  req->done_ = (p == 1);
-  req->tag_ = tag;
-  req->recv_base_ = recv_data.data();
-  req->count_ = count;
-  req->next_step_ = 1;
-  req->world_ = world_.get();
-  req->owner_ = rank_;
-  return Request(std::move(req));
+  const BlockLayout b = alltoall_layout(send_data, recv_data, count);
+  return post_exchange(send_data.data(), b, recv_data.data(), b, algo,
+                       channel);
 }
 
 Request Comm::ialltoallv(cspan send_data,
@@ -800,40 +631,31 @@ Request Comm::ialltoallv(cspan send_data,
                          std::span<const std::int64_t> recv_counts,
                          std::span<const std::int64_t> recv_displs,
                          int channel) {
+  const auto [sb, rb] =
+      alltoallv_layouts(send_counts, send_displs, recv_counts, recv_displs);
+  return post_exchange(send_data.data(), sb, recv_data.data(), rb,
+                       AlltoallAlgo::kPairwise, channel);
+}
+
+Request Comm::post_exchange(const cplx* send, BlockLayout sb, cplx* recv,
+                            BlockLayout rb, AlltoallAlgo algo, int channel) {
   auto& w = *world_;
   const int p = w.nranks;
-  SOI_CHECK(send_counts.size() == static_cast<std::size_t>(p) &&
-                send_displs.size() == static_cast<std::size_t>(p) &&
-                recv_counts.size() == static_cast<std::size_t>(p) &&
-                recv_displs.size() == static_cast<std::size_t>(p),
-            "ialltoallv: counts/displs must have one entry per rank");
-  SOI_CHECK(channel >= 0 && channel < kMaxCollChannels,
-            "ialltoallv: channel " << channel << " out of range [0, "
-                                   << kMaxCollChannels << ")");
-  const int tag = w.next_coll_tag(rank_, channel);
+  const int tag = next_coll_tag(channel);
 
-  // Own block.
-  {
-    const auto sc = static_cast<std::size_t>(
-        send_counts[static_cast<std::size_t>(rank_)]);
-    const auto rc = static_cast<std::size_t>(
-        recv_counts[static_cast<std::size_t>(rank_)]);
-    SOI_CHECK(sc == rc, "ialltoallv: self send/recv count mismatch");
-    std::copy_n(send_data.begin() +
-                    send_displs[static_cast<std::size_t>(rank_)],
-                sc,
-                recv_data.begin() +
-                    recv_displs[static_cast<std::size_t>(rank_)]);
-  }
+  // Own block: straight copy at post time.
+  std::copy_n(send + sb.offset(rank_), sb.size(rank_), recv + rb.offset(rank_));
+
+  // Every send is posted here (buffered); only the receive side is
+  // deferred. The algo picks the posting order: ring steps for pairwise,
+  // rank order for direct.
   std::int64_t bytes_out = 0;
-  for (int step = 1; step < p; ++step) {
-    const int to = (rank_ + step) % p;
-    const auto sc =
-        static_cast<std::size_t>(send_counts[static_cast<std::size_t>(to)]);
-    send_impl(w, rank_, to, tag,
-              send_data.data() + send_displs[static_cast<std::size_t>(to)],
-              sc * sizeof(cplx), /*record=*/false);
-    bytes_out += static_cast<std::int64_t>(sc * sizeof(cplx));
+  for (int k = 0; k < p; ++k) {
+    const int to = algo == AlltoallAlgo::kPairwise ? (rank_ + k) % p : k;
+    if (to == rank_) continue;
+    const std::size_t bytes = sb.size(to) * sizeof(cplx);
+    send_impl(w, rank_, to, tag, send + sb.offset(to), bytes);
+    bytes_out += static_cast<std::int64_t>(bytes);
   }
   if (rank_ == 0) {
     w.traffic.record({CommEvent::Kind::kAlltoall, p, bytes_out, p - 1});
@@ -843,10 +665,8 @@ Request Comm::ialltoallv(cspan send_data,
   req->kind_ = SimRequest::Kind::kColl;
   req->done_ = (p == 1);
   req->tag_ = tag;
-  req->recv_base_ = recv_data.data();
-  req->count_ = -1;  // v-variant: per-source counts/displs below
-  req->recv_counts_ = recv_counts.data();
-  req->recv_displs_ = recv_displs.data();
+  req->recv_base_ = recv;
+  req->recv_layout_ = rb;
   req->next_step_ = 1;
   req->world_ = world_.get();
   req->owner_ = rank_;
@@ -879,19 +699,12 @@ bool Comm::progress_locked(SimRequest& req) {
       const int p = w.nranks;
       while (req.next_step_ < p) {
         const int from = (rank_ - req.next_step_ + p) % p;
-        std::int64_t rc = req.count_;
-        std::int64_t rd = req.count_ * from;
-        if (req.count_ < 0) {
-          rc = req.recv_counts_[static_cast<std::size_t>(from)];
-          rd = req.recv_displs_[static_cast<std::size_t>(from)];
-        }
         auto m = detail::take_verified_locked(
-            w, box, from, req.tag_,
-            static_cast<std::size_t>(rc) * sizeof(cplx));
+            w, box, from, req.tag_, req.recv_layout_.size(from) * sizeof(cplx));
         if (!m.has_value()) return false;
         if (!m->payload.empty()) {
-          std::memcpy(req.recv_base_ + rd, m->payload.data(),
-                      m->payload.size());
+          std::memcpy(req.recv_base_ + req.recv_layout_.offset(from),
+                      m->payload.data(), m->payload.size());
         }
         ++req.next_step_;
       }
@@ -956,9 +769,11 @@ bool Comm::wait_for(Request& handle, double timeout_ms) {
     if (auto at = pending_earliest()) wake = std::min(wake, *at);
     if (box.cv.wait_until(lock, wake) == std::cv_status::timeout &&
         std::chrono::steady_clock::now() >= deadline) {
-      // Deadline expired: promote injector-parked messages, re-queue the
-      // retained clean copies of this request's pending pieces, and give
-      // progress one final attempt before reporting back.
+      // Deadline expired: count it whether or not the recovery below
+      // succeeds (FaultStats::timeouts is "expired at least once"), promote
+      // injector-parked messages, re-queue the retained clean copies of
+      // this request's pending pieces, and give progress one final attempt.
+      w.stats.timeouts.fetch_add(1, std::memory_order_relaxed);
       detail::promote_delayed_locked(box);
       if (w.injector.load(std::memory_order_acquire) != nullptr &&
           w.max_retries.load(std::memory_order_relaxed) > 0) {
@@ -972,45 +787,9 @@ bool Comm::wait_for(Request& handle, double timeout_ms) {
           }
         }
       }
-      const bool ok = progress_locked(req);
-      if (!ok) w.stats.timeouts.fetch_add(1, std::memory_order_relaxed);
-      return ok;
+      return progress_locked(req);
     }
   }
-}
-
-void Comm::wait(Request& req) {
-  auto* st = static_cast<SimRequest*>(req.state());
-  if (st == nullptr || st->done_) return;
-  const double base = world_->timeout_ms.load(std::memory_order_relaxed);
-  if (base <= 0) {
-    wait_for(req, 0);  // blocks forever, wire-latency aware
-    return;
-  }
-  double t = base;
-  const int maxr = world_->max_retries.load(std::memory_order_relaxed);
-  for (int attempt = 0;; ++attempt) {
-    if (wait_for(req, t)) return;
-    if (attempt >= maxr) {
-      std::ostringstream os;
-      os << "wait: request (tag " << st->tag_ << ") timed out after "
-         << (attempt + 1) << " attempt(s), base deadline " << base << " ms";
-      throw CommTimeoutError(os.str());
-    }
-    t *= 2;  // exponential backoff
-  }
-}
-
-void Comm::waitall(std::span<Request> reqs) {
-  for (auto& r : reqs) wait(r);
-}
-
-void Comm::sendrecv(int dst, cspan send_data, int src, mspan recv_data,
-                    int tag) {
-  // Sends never block (buffered), so send-then-recv cannot deadlock even in
-  // a fully cyclic exchange pattern.
-  send(dst, tag, send_data);
-  recv(src, tag, recv_data);
 }
 
 void Comm::barrier() {
@@ -1034,116 +813,23 @@ void Comm::barrier() {
   }
 }
 
-void Comm::bcast(mspan data, int root) {
+void Comm::allreduce(std::span<double> values, ReduceOp op) {
   auto& w = *world_;
-  SOI_CHECK(root >= 0 && root < w.nranks, "bcast: bad root " << root);
-  if (rank_ == root) {
-    for (int r = 0; r < w.nranks; ++r) {
-      if (r == root) continue;
-      send_impl(w, rank_, r, detail::kTagBcast, data.data(),
-                data.size_bytes(), /*record=*/false);
-    }
-    w.traffic.record({CommEvent::Kind::kBcast, w.nranks,
-                      static_cast<std::int64_t>(data.size_bytes()),
-                      w.nranks - 1});
-  } else {
-    recv_impl(w, rank_, root, detail::kTagBcast, data.data(),
-              data.size_bytes());
-  }
-}
-
-void Comm::gather(cspan send_data, mspan recv_data, int root) {
-  auto& w = *world_;
-  const std::size_t block = send_data.size();
-  if (rank_ == root) {
-    SOI_CHECK(recv_data.size() >=
-                  block * static_cast<std::size_t>(w.nranks),
-              "gather: receive buffer too small");
-    std::copy(send_data.begin(), send_data.end(),
-              recv_data.begin() +
-                  static_cast<std::ptrdiff_t>(block) * root);
-    for (int r = 0; r < w.nranks; ++r) {
-      if (r == root) continue;
-      recv_impl(w, rank_, r, detail::kTagGather,
-                recv_data.data() + block * static_cast<std::size_t>(r),
-                block * sizeof(cplx));
-    }
-    w.traffic.record({CommEvent::Kind::kAllgather, w.nranks,
-                      static_cast<std::int64_t>(block * sizeof(cplx)), 1});
-  } else {
-    send_impl(w, rank_, root, detail::kTagGather, send_data.data(),
-              send_data.size_bytes(), /*record=*/false);
-  }
-}
-
-void Comm::allgather(cspan send_data, mspan recv_data) {
-  auto& w = *world_;
-  const std::size_t block = send_data.size();
-  SOI_CHECK(recv_data.size() >= block * static_cast<std::size_t>(w.nranks),
-            "allgather: receive buffer too small");
-  for (int r = 0; r < w.nranks; ++r) {
-    if (r == rank_) continue;
-    send_impl(w, rank_, r, detail::kTagAllgather, send_data.data(),
-              send_data.size_bytes(), /*record=*/false);
-  }
-  std::copy(send_data.begin(), send_data.end(),
-            recv_data.begin() + static_cast<std::ptrdiff_t>(block) * rank_);
-  for (int r = 0; r < w.nranks; ++r) {
-    if (r == rank_) continue;
-    recv_impl(w, rank_, r, detail::kTagAllgather,
-              recv_data.data() + block * static_cast<std::size_t>(r),
-              block * sizeof(cplx));
-  }
-  if (rank_ == 0) {
-    w.traffic.record({CommEvent::Kind::kAllgather, w.nranks,
-                      static_cast<std::int64_t>(block * sizeof(cplx) *
-                                                static_cast<std::size_t>(
-                                                    w.nranks - 1)),
-                      w.nranks - 1});
-  }
-}
-
-namespace {
-double reduce_rendezvous(detail::World& w, double value, bool is_sum) {
   std::unique_lock<std::mutex> lock(w.red_mu);
   w.check_alive();
   const std::uint64_t gen = w.red_gen;
   if (w.red_count == 0) {
-    w.red_acc = value;
+    w.red_acc.assign(values.begin(), values.end());
   } else {
-    w.red_acc = is_sum ? w.red_acc + value : std::max(w.red_acc, value);
+    SOI_CHECK(w.red_acc.size() == values.size(),
+              "allreduce: vector length mismatch across ranks");
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      w.red_acc[i] = op == ReduceOp::kSum ? w.red_acc[i] + values[i]
+                                          : std::max(w.red_acc[i], values[i]);
+    }
   }
   if (++w.red_count == w.nranks) {
     w.red_result = w.red_acc;
-    w.red_count = 0;
-    ++w.red_gen;
-    w.red_cv.notify_all();
-    w.traffic.record({CommEvent::Kind::kAllreduce, w.nranks,
-                      static_cast<std::int64_t>(sizeof(double)), 1});
-    return w.red_result;
-  }
-  w.red_cv.wait(lock, [&w, gen] {
-    return w.red_gen != gen || w.aborted.load(std::memory_order_acquire);
-  });
-  if (w.red_gen == gen) w.check_alive();  // woken by abort, not completion
-  return w.red_result;
-}
-
-void reduce_vec_rendezvous(detail::World& w, std::span<double> values) {
-  std::unique_lock<std::mutex> lock(w.red_mu);
-  w.check_alive();
-  const std::uint64_t gen = w.red_gen;
-  if (w.red_count == 0) {
-    w.red_vec_acc.assign(values.begin(), values.end());
-  } else {
-    SOI_CHECK(w.red_vec_acc.size() == values.size(),
-              "allreduce: vector length mismatch across ranks");
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      w.red_vec_acc[i] += values[i];
-    }
-  }
-  if (++w.red_count == w.nranks) {
-    w.red_vec_result = w.red_vec_acc;
     w.red_count = 0;
     ++w.red_gen;
     w.red_cv.notify_all();
@@ -1155,137 +841,13 @@ void reduce_vec_rendezvous(detail::World& w, std::span<double> values) {
     });
     if (w.red_gen == gen) w.check_alive();  // woken by abort, not completion
   }
-  std::copy(w.red_vec_result.begin(), w.red_vec_result.end(), values.begin());
-}
-}  // namespace
-
-double Comm::allreduce_sum(double value) {
-  return reduce_rendezvous(*world_, value, /*is_sum=*/true);
-}
-
-double Comm::allreduce_max(double value) {
-  return reduce_rendezvous(*world_, value, /*is_sum=*/false);
-}
-
-void Comm::allreduce_sum(std::span<double> values) {
-  reduce_vec_rendezvous(*world_, values);
+  std::copy(w.red_result.begin(), w.red_result.end(), values.begin());
 }
 
 bool Comm::resilience_active() const {
   return world_->injector.load(std::memory_order_acquire) != nullptr ||
          world_->timeout_ms.load(std::memory_order_relaxed) > 0;
 }
-
-void Comm::alltoall(cspan send_data, mspan recv_data, std::int64_t count,
-                    AlltoallAlgo algo) {
-  auto& w = *world_;
-  const int p = w.nranks;
-  const auto block = static_cast<std::size_t>(count);
-  SOI_CHECK(send_data.size() >= block * static_cast<std::size_t>(p),
-            "alltoall: send buffer too small");
-  SOI_CHECK(recv_data.size() >= block * static_cast<std::size_t>(p),
-            "alltoall: recv buffer too small");
-
-  // Own block: straight copy.
-  std::copy(send_data.begin() + static_cast<std::ptrdiff_t>(block) * rank_,
-            send_data.begin() + static_cast<std::ptrdiff_t>(block) * (rank_ + 1),
-            recv_data.begin() + static_cast<std::ptrdiff_t>(block) * rank_);
-
-  if (algo == AlltoallAlgo::kPairwise) {
-    // Ring schedule: step k exchanges with (rank+k) / (rank-k).
-    for (int step = 1; step < p; ++step) {
-      const int to = (rank_ + step) % p;
-      const int from = (rank_ - step + p) % p;
-      send_impl(w, rank_, to, detail::kTagAlltoall,
-                send_data.data() + block * static_cast<std::size_t>(to),
-                block * sizeof(cplx), /*record=*/false);
-      recv_impl(w, rank_, from, detail::kTagAlltoall,
-                recv_data.data() + block * static_cast<std::size_t>(from),
-                block * sizeof(cplx));
-    }
-  } else {
-    for (int r = 0; r < p; ++r) {
-      if (r == rank_) continue;
-      send_impl(w, rank_, r, detail::kTagAlltoall,
-                send_data.data() + block * static_cast<std::size_t>(r),
-                block * sizeof(cplx), /*record=*/false);
-    }
-    for (int r = 0; r < p; ++r) {
-      if (r == rank_) continue;
-      recv_impl(w, rank_, r, detail::kTagAlltoall,
-                recv_data.data() + block * static_cast<std::size_t>(r),
-                block * sizeof(cplx));
-    }
-  }
-  if (rank_ == 0) {
-    w.traffic.record(
-        {CommEvent::Kind::kAlltoall, p,
-         static_cast<std::int64_t>(block * sizeof(cplx)) * (p - 1), p - 1});
-  }
-}
-
-void Comm::alltoallv(cspan send_data,
-                     std::span<const std::int64_t> send_counts,
-                     std::span<const std::int64_t> send_displs,
-                     mspan recv_data,
-                     std::span<const std::int64_t> recv_counts,
-                     std::span<const std::int64_t> recv_displs) {
-  auto& w = *world_;
-  const int p = w.nranks;
-  SOI_CHECK(send_counts.size() == static_cast<std::size_t>(p) &&
-                send_displs.size() == static_cast<std::size_t>(p) &&
-                recv_counts.size() == static_cast<std::size_t>(p) &&
-                recv_displs.size() == static_cast<std::size_t>(p),
-            "alltoallv: counts/displs must have one entry per rank");
-
-  // Own block.
-  {
-    const auto sc = static_cast<std::size_t>(send_counts[static_cast<std::size_t>(rank_)]);
-    const auto rc = static_cast<std::size_t>(recv_counts[static_cast<std::size_t>(rank_)]);
-    SOI_CHECK(sc == rc, "alltoallv: self send/recv count mismatch");
-    std::copy_n(send_data.begin() +
-                    send_displs[static_cast<std::size_t>(rank_)],
-                sc,
-                recv_data.begin() +
-                    recv_displs[static_cast<std::size_t>(rank_)]);
-  }
-  std::int64_t bytes_out = 0;
-  for (int step = 1; step < p; ++step) {
-    const int to = (rank_ + step) % p;
-    const int from = (rank_ - step + p) % p;
-    const auto sc = static_cast<std::size_t>(send_counts[static_cast<std::size_t>(to)]);
-    const auto rc = static_cast<std::size_t>(recv_counts[static_cast<std::size_t>(from)]);
-    send_impl(w, rank_, to, detail::kTagAlltoallv,
-              send_data.data() + send_displs[static_cast<std::size_t>(to)],
-              sc * sizeof(cplx), /*record=*/false);
-    recv_impl(w, rank_, from, detail::kTagAlltoallv,
-              recv_data.data() + recv_displs[static_cast<std::size_t>(from)],
-              rc * sizeof(cplx));
-    bytes_out += static_cast<std::int64_t>(sc * sizeof(cplx));
-  }
-  if (rank_ == 0) {
-    w.traffic.record({CommEvent::Kind::kAlltoall, p, bytes_out, p - 1});
-  }
-}
-
-namespace {
-/// Environment knobs fill any NetOptions field left at its default:
-/// SOI_FAULTS (spec string), SOI_TIMEOUT_MS, SOI_MAX_RETRIES,
-/// SOI_CHECKSUMS=0.
-NetOptions resolve_env_options(NetOptions opts) {
-  if (!opts.faults.any()) {
-    const std::string spec = env_str("SOI_FAULTS", "");
-    if (!spec.empty()) opts.faults = FaultSpec::parse(spec);
-  }
-  if (opts.timeout_ms <= 0) opts.timeout_ms = env_f64("SOI_TIMEOUT_MS", 0.0);
-  opts.max_retries =
-      static_cast<int>(env_i64("SOI_MAX_RETRIES", opts.max_retries));
-  if (env_i64("SOI_CHECKSUMS", opts.checksums ? 1 : 0) == 0) {
-    opts.checksums = false;
-  }
-  return opts;
-}
-}  // namespace
 
 std::vector<CommEvent> run_ranks(int nranks,
                                  const std::function<void(Comm&)>& body) {

@@ -1,59 +1,43 @@
-// SimMPI: an MPI-like message-passing layer whose ranks are threads inside
-// one process — the "sim" backend of the net::Transport ABI
-// (net/transport.hpp). This is the build's substitute for MPI on a real
-// cluster (none is available here): the data movement, matching semantics
-// and collective algorithms are executed for real, while communication
-// *time* on cluster fabrics is produced by the cost models in
-// costmodel.hpp.
+// SimMPI: the "sim" backend of the net::Transport ABI (net/transport.hpp).
+// Ranks are threads inside one process, standing in for MPI on a real
+// cluster: data movement and matching run for real, while communication
+// *time* on cluster fabrics comes from the cost models in costmodel.hpp.
 //
-// Supported surface (mirrors the MPI subset the paper's implementation
-// needs, Fig. 2/3): blocking tagged send/recv, sendrecv, barrier, bcast,
-// gather/allgather, allreduce, alltoall and alltoallv, plus a nonblocking
-// layer (isend/irecv/ialltoall/ialltoallv with test/wait/waitall).
+// What this backend owns — the Transport primitives: per-rank mailboxes
+// with (src, tag) matching (kAnySource allowed), buffered isend/irecv, the
+// ialltoall(v) ring schedules (pairwise or direct posting order), test,
+// the deadline-bounded wait_for, a generation-counted barrier and the
+// vector allreduce. Every derived operation (blocking p2p, wait's retry
+// loop, bcast/gather/allgather, blocking all-to-all) is the Transport
+// base's. Traffic: one aggregated CommEvent per collective, and kP2P only
+// for user-tag (>= 0) sends.
 //
-// Nonblocking model: Request handles are fully PASSIVE. Nothing runs in the
-// background — sends complete at post time (buffered), and all receive-side
-// progress happens on the waiting thread inside test()/wait(), which drain
-// the caller's own mailbox. Requests are move-only; a Request dropped
-// without being waited on has well-defined semantics: an unfinished
-// collective is CANCELLED on destruction (its in-flight blocks are purged
-// and future arrivals for its tag discarded), a pending receive simply
-// forgets its posting (the message stays in the mailbox for a later
-// blocking recv), and completed/send requests have nothing left to do.
+// Requests are passive: sends complete at post time, and all receive-side
+// progress happens on the waiting thread inside test()/wait_for(), which
+// drain the caller's own mailbox. A dropped live collective is cancelled
+// (its queued blocks purged, future arrivals for its tag discarded); a
+// dropped receive forgets its posting.
 //
-// Resilience layer (NetOptions): every payload is CRC32-checksummed at
-// send and verified at match, so corruption and truncation are DETECTED.
-// With a FaultSpec installed (env SOI_FAULTS, run_ranks options, or
-// DistOptions::faults) messages additionally carry per-channel sequence
-// numbers and a clean retained copy: verification failures and
-// deadline-expired waits re-queue the retained copy (an idempotent,
-// receiver-driven retransmit), duplicates are absorbed by sequence-number
-// dedup, and waits become deadline-bounded with exponential backoff,
-// surfacing soi::CommTimeoutError / soi::PayloadCorruptionError after
-// max_retries.
+// Resilience (NetOptions): every payload is CRC32-stamped at send. With a
+// FaultSpec installed (env SOI_FAULTS, run_ranks options, or
+// DistOptions::faults) messages also carry per-channel sequence numbers
+// and a retained clean copy: verification failures and expired deadlines
+// re-queue the retained copy (an idempotent, receiver-driven retransmit),
+// duplicates are absorbed by sequence-number dedup, and injected delays,
+// stragglers and emulated wire latency are honoured at match time.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/types.hpp"
-#include "net/fault.hpp"
 #include "net/traffic.hpp"
 #include "net/transport.hpp"
 
 namespace soi::net {
-
-/// Back-compat alias for the ABI-wide channel ceiling — SimMPI supports
-/// the full complement (see net/transport.hpp).
-inline constexpr int kMaxCollChannels = kMaxChannels;
 
 namespace detail {
 struct World;
@@ -61,7 +45,7 @@ struct World;
 
 /// SimMPI's concrete request state behind the type-erased net::Request.
 /// Fully passive: no registry, no background progress — completion is
-/// driven by the owning rank's thread through Comm::test/wait/waitall.
+/// driven by the owning rank's thread through test/wait_for.
 /// Destruction cancels a live collective (see header comment).
 class SimRequest final : public RequestState {
  public:
@@ -95,14 +79,11 @@ class SimRequest final : public RequestState {
   std::size_t bytes_ = 0;
 
   // Collective state: remaining receives drain in ring order (step k reads
-  // from (rank - k) mod P) during test/wait. count_ >= 0 selects the
-  // uniform-block layout; otherwise the v-variant views apply. The
-  // counts/displs spans are caller-owned and must outlive the request.
+  // from (rank - k) mod P) during test/wait. The layout's counts/displs
+  // are caller-owned and must outlive the request.
   int next_step_ = 1;
   cplx* recv_base_ = nullptr;
-  std::int64_t count_ = -1;
-  const std::int64_t* recv_counts_ = nullptr;
-  const std::int64_t* recv_displs_ = nullptr;
+  BlockLayout recv_layout_;
 
   // Cancellation route for live collectives dropped without a wait.
   detail::World* world_ = nullptr;
@@ -110,8 +91,8 @@ class SimRequest final : public RequestState {
 };
 
 /// Per-rank communicator handle of the "sim" backend. Obtained from
-/// run_ranks() (or net::run_world("sim", ...)); value-semantic view onto
-/// the shared world. All operations are blocking.
+/// run_ranks() (or net::run_world("sim", ...)); a view onto the shared
+/// world.
 class Comm final : public Transport {
  public:
   Comm(std::shared_ptr<detail::World> world, int rank);
@@ -120,38 +101,15 @@ class Comm final : public Transport {
   [[nodiscard]] int size() const override;
   [[nodiscard]] const TransportCaps& caps() const override;
 
-  // -- point to point (byte payloads) --
-  void send_bytes(int dst, int tag, const void* data,
-                  std::size_t bytes) override;
-  void recv_bytes(int src, int tag, void* data, std::size_t bytes) override;
-
-  /// Simultaneous exchange (deadlock-free even for self/neighbour cycles).
-  void sendrecv(int dst, cspan send_data, int src, mspan recv_data,
-                int tag) override;
-
-  /// Non-blocking receive attempt: if a matching message is already
-  /// queued, consume it into `data` and return true; otherwise return
-  /// false immediately. Implemented as irecv + a single test; the
-  /// incomplete request is simply dropped (requests are passive).
-  bool try_recv(int src, int tag, mspan data) override;
-
-  // -- nonblocking point to point --
-  Request isend(int dst, int tag, cspan data) override;
   Request isend_bytes(int dst, int tag, const void* data,
                       std::size_t bytes) override;
-  Request irecv(int src, int tag, mspan data) override;
   Request irecv_bytes(int src, int tag, void* data, std::size_t bytes) override;
 
-  // -- nonblocking collectives --
-
-  /// Nonblocking alltoall: the own-block copy and every send happen at
-  /// post time; the P-1 receive blocks land during test()/wait().
+  /// The own-block copy and every send happen at post time; the P-1
+  /// receive blocks land during test()/wait_for().
   Request ialltoall(cspan send_data, mspan recv_data, std::int64_t count,
                     AlltoallAlgo algo = AlltoallAlgo::kPairwise,
                     int channel = 0) override;
-
-  /// Nonblocking alltoallv. `recv_counts`/`recv_displs` are captured by
-  /// pointer and must outlive the request.
   Request ialltoallv(cspan send_data,
                      std::span<const std::int64_t> send_counts,
                      std::span<const std::int64_t> send_displs,
@@ -160,62 +118,21 @@ class Comm final : public Transport {
                      std::span<const std::int64_t> recv_displs,
                      int channel = 0) override;
 
-  /// One progress attempt on the calling rank's mailbox; true when the
-  /// request has completed. Never blocks.
   bool test(Request& req) override;
 
-  /// Block until the request completes. Under the world's resilience
-  /// configuration (timeout_ms() > 0) this is a bounded wait: each expired
-  /// deadline promotes injector-delayed messages, re-queues retained clean
-  /// copies of the request's pending pieces, doubles the deadline, and
-  /// after max_retries() attempts throws soi::CommTimeoutError.
-  void wait(Request& req) override;
-
-  /// One deadline-bounded completion attempt: progress, sleep until the
-  /// deadline, recover (promote delayed + re-queue retained) at expiry,
-  /// and report whether the request finished. timeout_ms <= 0 blocks
-  /// until completion.
+  /// At expiry: promote injector-delayed messages and re-queue retained
+  /// clean copies of the request's pending pieces, then one last attempt.
   bool wait_for(Request& req, double timeout_ms) override;
 
-  /// wait() over a span, in order.
-  void waitall(std::span<Request> reqs) override;
-
-  // -- collectives --
   void barrier() override;
-  void bcast(mspan data, int root) override;
-  void gather(cspan send_data, mspan recv_data, int root) override;
-  void allgather(cspan send_data, mspan recv_data) override;
-  double allreduce_sum(double value) override;
-  double allreduce_max(double value) override;
-  void allreduce_sum(std::span<double> values) override;
+  void allreduce(std::span<double> values, ReduceOp op) override;
 
-  [[nodiscard]] bool resilience_active() const override;
-
-  void alltoall(cspan send_data, mspan recv_data, std::int64_t count,
-                AlltoallAlgo algo = AlltoallAlgo::kPairwise) override;
-
-  void alltoallv(cspan send_data, std::span<const std::int64_t> send_counts,
-                 std::span<const std::int64_t> send_displs, mspan recv_data,
-                 std::span<const std::int64_t> recv_counts,
-                 std::span<const std::int64_t> recv_displs) override;
-
-  // -- resilience --
-
-  /// Install the world's resilience configuration (fault injector,
-  /// deadlines, retry budget). First caller wins; later calls are no-ops,
-  /// so every rank may call it with the same options (DistOptions plumbing
-  /// does). Worlds from run_ranks(n, opts, body) are pre-configured.
   void configure_resilience(const NetOptions& opts) override;
-
+  [[nodiscard]] bool resilience_active() const override;
   [[nodiscard]] double timeout_ms() const override;
   [[nodiscard]] int max_retries() const override;
   [[nodiscard]] FaultStats fault_stats() const override;
-
-  /// Shared traffic recorder for the whole world (same object on all ranks).
   [[nodiscard]] TrafficLog& traffic() override;
-
-  /// Monotonic payload bytes THIS rank has sent (p2p and collectives; own-
-  /// block copies inside collectives are not sends).
   [[nodiscard]] std::int64_t bytes_sent() const override;
 
  private:
@@ -223,6 +140,11 @@ class Comm final : public Transport {
   /// mutex; all receive-side data movement happens here, on the waiter's
   /// thread.
   bool progress_locked(SimRequest& req);
+
+  /// Post one all-to-all: own-block copy, sends in `algo`'s order, one
+  /// aggregated traffic event; the receives drain in ring order.
+  Request post_exchange(const cplx* send, BlockLayout sb, cplx* recv,
+                        BlockLayout rb, AlltoallAlgo algo, int channel);
 
   std::shared_ptr<detail::World> world_;
   int rank_;

@@ -9,9 +9,6 @@
 #include "common/error.hpp"
 #include "net/comm.hpp"
 #include "net/shm.hpp"
-#ifdef SOI_WITH_MPI
-#include "net/mpi_transport.hpp"
-#endif
 
 namespace soi::net {
 
@@ -24,9 +21,6 @@ void ensure_builtins() {
   std::call_once(once, [] {
     register_sim_transport();
     register_shm_transport();
-#ifdef SOI_WITH_MPI
-    register_mpi_transport();
-#endif
   });
 }
 }  // namespace

@@ -4,10 +4,9 @@
 //
 //   net::run_world("shm", 8, opts, [](net::Transport& t) { ... });
 //
-// Built-in backends ("sim" always; "shm" always; "mpi" only with
-// -DSOI_WITH_MPI=ON) are registered lazily, exactly once, on first
-// registry use — no static-initialisation-order or dead-TU-stripping
-// hazards. Additional backends may be registered before first use via
+// Built-in backends ("sim" and "shm") are registered lazily, exactly
+// once, on first registry use — no static-initialisation-order or
+// dead-TU-stripping hazards. Additional backends may be registered before first use via
 // register_backend(); duplicate names are an error (exactly-once factory
 // registration is part of the contract, and tested).
 //

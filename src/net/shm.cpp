@@ -1,7 +1,9 @@
 #include "net/shm.hpp"
 
+#include <poll.h>
 #include <pthread.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <time.h>
@@ -22,7 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "net/registry.hpp"
 #include "net/shm_frame.hpp"
@@ -80,19 +81,6 @@ constexpr double kAbortPollMs = 25.0;
 /// Free reassembly buffers a rank keeps for reuse.
 constexpr std::size_t kPoolBuffers = 8;
 
-// Internal tags mirror SimMPI's (user tags must be >= 0).
-constexpr int kTagBcast = -2;
-constexpr int kTagGather = -3;
-constexpr int kTagAllgather = -4;
-constexpr int kTagAlltoall = -5;
-constexpr int kTagAlltoallv = -6;
-/// Nonblocking collectives get a unique tag per posting — the same
-/// kTagICollBase - (seq * kMaxChannels + channel) encoding as SimMPI, with
-/// the per-(rank, channel) counters living in child-private memory (every
-/// rank advances its own counters identically because all ranks post one
-/// channel's collectives in the same program order).
-constexpr int kTagICollBase = -16;
-
 /// Ring-buffer control block; the data area follows at a fixed offset.
 /// head/tail are monotonic byte counters (offset = counter % capacity).
 struct RingHdr {
@@ -144,7 +132,7 @@ struct WorldHdr {
   std::int32_t red_count;
   std::uint64_t red_gen;
   std::uint64_t red_len;
-  std::int32_t red_op;  ///< 0 = sum, 1 = max
+  std::int32_t red_op;  ///< ReduceOp of the pending reduction
 };
 
 constexpr std::size_t align_up(std::size_t v, std::size_t a) {
@@ -305,7 +293,6 @@ class ShmRequest final : public RequestState {
 
   int next_step_ = 1;
   std::vector<Posting> posts_;  ///< kColl: indexed by source rank
-  bool unique_tag_ = false;     ///< kColl: tag is never reused (cancel on drop)
 
   ShmComm* owner_ = nullptr;  ///< cancellation route for dropped collectives
 };
@@ -322,23 +309,6 @@ constexpr TransportCaps kShmCaps{
     /*cross_process=*/true,
 };
 
-/// Where each rank's block sits in an exchange buffer: `count` elements at
-/// `count * r` when uniform (count >= 0), else `counts[r]` at `displs[r]`.
-struct Blocks {
-  std::int64_t count = -1;
-  const std::int64_t* counts = nullptr;
-  const std::int64_t* displs = nullptr;
-
-  [[nodiscard]] std::size_t size(int r) const {
-    return static_cast<std::size_t>(
-        count >= 0 ? count : counts[static_cast<std::size_t>(r)]);
-  }
-  [[nodiscard]] std::ptrdiff_t offset(int r) const {
-    return static_cast<std::ptrdiff_t>(
-        count >= 0 ? count * r : displs[static_cast<std::size_t>(r)]);
-  }
-};
-
 class ShmComm final : public Transport {
  public:
   ShmComm(std::byte* base, const Layout& lay, int rank, int nranks)
@@ -350,8 +320,7 @@ class ShmComm final : public Transport {
         cursors_(static_cast<std::size_t>(nranks)),
         inbound_(static_cast<std::size_t>(nranks)),
         send_seq_(static_cast<std::size_t>(nranks), 0),
-        last_seq_from_(static_cast<std::size_t>(nranks), 0),
-        coll_seq_(static_cast<std::size_t>(kMaxChannels), 0) {
+        last_seq_from_(static_cast<std::size_t>(nranks), 0) {
     pool_.reserve(kPoolBuffers);
     posted_.reserve(static_cast<std::size_t>(4 * nranks));
   }
@@ -360,34 +329,8 @@ class ShmComm final : public Transport {
   [[nodiscard]] int size() const override { return nranks_; }
   [[nodiscard]] const TransportCaps& caps() const override { return kShmCaps; }
 
-  void send_bytes(int dst, int tag, const void* data,
-                  std::size_t bytes) override {
-    SOI_CHECK(tag >= 0, "user tags must be non-negative (got " << tag << ")");
-    send_message(dst, tag, data, bytes);
-  }
-
-  void recv_bytes(int src, int tag, void* data, std::size_t bytes) override {
-    SOI_CHECK(tag >= 0, "user tags must be non-negative (got " << tag << ")");
-    recv_message(src, tag, data, bytes);
-  }
-
-  void sendrecv(int dst, cspan send_data, int src, mspan recv_data,
-                int tag) override {
-    // Sends never need a matching receive to complete (a full ring is
-    // drained by its owner or by us below), so send-then-recv cannot
-    // deadlock even in a fully cyclic exchange.
-    send(dst, tag, send_data);
-    recv(src, tag, recv_data);
-  }
-
-  bool try_recv(int src, int tag, mspan data) override {
-    Request req = irecv(src, tag, data);
-    return test(req);
-  }
-
   Request isend_bytes(int dst, int tag, const void* data,
                       std::size_t bytes) override {
-    SOI_CHECK(tag >= 0, "user tags must be non-negative (got " << tag << ")");
     send_message(dst, tag, data, bytes);
     auto req = std::make_unique<ShmRequest>();
     req->kind_ = ShmRequest::Kind::kSend;
@@ -398,36 +341,27 @@ class ShmComm final : public Transport {
     return Request(std::move(req));
   }
 
-  Request isend(int dst, int tag, cspan data) override {
-    return isend_bytes(dst, tag, data.data(), data.size_bytes());
-  }
-
   Request irecv_bytes(int src, int tag, void* data,
                       std::size_t bytes) override {
-    SOI_CHECK(tag >= 0, "user tags must be non-negative (got " << tag << ")");
-    return make_recv(src, tag, data, bytes);
-  }
-
-  Request irecv(int src, int tag, mspan data) override {
-    return irecv_bytes(src, tag, data.data(), data.size_bytes());
+    SOI_CHECK(src == kAnySource || (src >= 0 && src < nranks_),
+              "irecv: source rank " << src << " out of range");
+    auto req = std::make_unique<ShmRequest>();
+    req->kind_ = ShmRequest::Kind::kRecv;
+    req->done_ = false;
+    req->peer_ = src;
+    req->tag_ = tag;
+    req->data_ = data;
+    req->bytes_ = bytes;
+    req->owner_ = this;
+    return Request(std::move(req));
   }
 
   Request ialltoall(cspan send_data, mspan recv_data, std::int64_t count,
                     AlltoallAlgo algo, int channel) override {
     (void)algo;  // one native schedule (caps().alltoall_algo_choice == false)
-    const int p = nranks_;
-    const auto block = static_cast<std::size_t>(count);
-    SOI_CHECK(count >= 0, "ialltoall: negative count");
-    SOI_CHECK(channel >= 0 && channel < kMaxChannels,
-              "ialltoall: channel " << channel << " out of range [0, "
-                                    << kMaxChannels << ")");
-    SOI_CHECK(send_data.size() >= block * static_cast<std::size_t>(p),
-              "ialltoall: send buffer too small");
-    SOI_CHECK(recv_data.size() >= block * static_cast<std::size_t>(p),
-              "ialltoall: recv buffer too small");
-    const Blocks uniform{count};
-    return post_exchange(next_coll_tag(channel), /*unique_tag=*/true,
-                         send_data.data(), uniform, recv_data.data(), uniform);
+    const BlockLayout b = alltoall_layout(send_data, recv_data, count);
+    return post_exchange(next_coll_tag(channel), send_data.data(), b,
+                         recv_data.data(), b);
   }
 
   Request ialltoallv(cspan send_data,
@@ -437,16 +371,10 @@ class ShmComm final : public Transport {
                      std::span<const std::int64_t> recv_counts,
                      std::span<const std::int64_t> recv_displs,
                      int channel) override {
-    check_v_args(send_counts, send_displs, recv_counts, recv_displs,
-                 "ialltoallv");
-    SOI_CHECK(channel >= 0 && channel < kMaxChannels,
-              "ialltoallv: channel " << channel << " out of range [0, "
-                                     << kMaxChannels << ")");
-    return post_exchange(next_coll_tag(channel), /*unique_tag=*/true,
-                         send_data.data(),
-                         Blocks{-1, send_counts.data(), send_displs.data()},
-                         recv_data.data(),
-                         Blocks{-1, recv_counts.data(), recv_displs.data()});
+    const auto [sb, rb] =
+        alltoallv_layouts(send_counts, send_displs, recv_counts, recv_displs);
+    return post_exchange(next_coll_tag(channel), send_data.data(), sb,
+                         recv_data.data(), rb);
   }
 
   bool test(Request& req) override {
@@ -454,28 +382,6 @@ class ShmComm final : public Transport {
     if (st == nullptr || st->done_) return true;
     drain_ring();
     return progress(*st);
-  }
-
-  void wait(Request& req) override {
-    auto* st = static_cast<ShmRequest*>(req.state());
-    if (st == nullptr || st->done_) return;
-    const double base = hdr_->timeout_ms.load(std::memory_order_relaxed);
-    if (base <= 0) {
-      wait_for(req, 0);
-      return;
-    }
-    double t = base;
-    const int maxr = hdr_->max_retries.load(std::memory_order_relaxed);
-    for (int attempt = 0;; ++attempt) {
-      if (wait_for(req, t)) return;
-      if (attempt >= maxr) {
-        std::ostringstream os;
-        os << "shm wait: request (tag " << st->tag_ << ") timed out after "
-           << (attempt + 1) << " attempt(s), base deadline " << base << " ms";
-        throw CommTimeoutError(os.str());
-      }
-      t *= 2;  // exponential backoff
-    }
   }
 
   bool wait_for(Request& req, double timeout_ms) override {
@@ -496,21 +402,15 @@ class ShmComm final : public Transport {
                 deadline - std::chrono::steady_clock::now())
                 .count();
         if (remaining <= 0) {
+          // Count every expired deadline, recovered or not.
+          hdr_->timeouts.fetch_add(1, std::memory_order_relaxed);
           drain_ring();
-          const bool ok = progress(*st);
-          if (!ok) {
-            hdr_->timeouts.fetch_add(1, std::memory_order_relaxed);
-          }
-          return ok;
+          return progress(*st);
         }
         wait_ms = std::min(wait_ms, remaining);
       }
       wait_for_inbox(wait_ms);
     }
-  }
-
-  void waitall(std::span<Request> reqs) override {
-    for (auto& r : reqs) wait(r);
   }
 
   void barrier() override {
@@ -530,97 +430,46 @@ class ShmComm final : public Transport {
     }
   }
 
-  void bcast(mspan data, int root) override {
-    SOI_CHECK(root >= 0 && root < nranks_, "bcast: bad root " << root);
-    if (rank_ == root) {
-      for (int r = 0; r < nranks_; ++r) {
-        if (r == root) continue;
-        send_message(r, kTagBcast, data.data(), data.size_bytes());
-      }
+  /// Deterministic reduction: contributions land in per-rank slots, the
+  /// last arrival reduces them in rank order, every rank reads back
+  /// identical bits.
+  void allreduce(std::span<double> values, ReduceOp op) override {
+    SOI_CHECK(values.size() <= kMaxReduceLen,
+              "shm allreduce: vector longer than " << kMaxReduceLen);
+    auto& h = *hdr_;
+    MutexLock lock(&h.red_mu);
+    check_alive();
+    const std::uint64_t gen = h.red_gen;
+    std::copy(values.begin(), values.end(), red_slot(rank_));
+    if (h.red_count == 0) {
+      h.red_len = values.size();
+      h.red_op = static_cast<std::int32_t>(op);
     } else {
-      recv_message(root, kTagBcast, data.data(), data.size_bytes());
+      SOI_CHECK(h.red_len == values.size(),
+                "allreduce: vector length mismatch across ranks");
+      SOI_CHECK(h.red_op == static_cast<std::int32_t>(op),
+                "allreduce: operation mismatch across ranks");
     }
-  }
-
-  void gather(cspan send_data, mspan recv_data, int root) override {
-    const std::size_t block = send_data.size();
-    if (rank_ == root) {
-      SOI_CHECK(recv_data.size() >= block * static_cast<std::size_t>(nranks_),
-                "gather: receive buffer too small");
-      std::copy(send_data.begin(), send_data.end(),
-                recv_data.begin() + static_cast<std::ptrdiff_t>(block) * root);
-      for (int r = 0; r < nranks_; ++r) {
-        if (r == root) continue;
-        recv_message(r, kTagGather,
-                     recv_data.data() + block * static_cast<std::size_t>(r),
-                     block * sizeof(cplx));
+    if (++h.red_count == nranks_) {
+      double* out = red_result();
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        double acc = red_slot(0)[i];
+        for (int r = 1; r < nranks_; ++r) {
+          acc = op == ReduceOp::kSum ? acc + red_slot(r)[i]
+                                     : std::max(acc, red_slot(r)[i]);
+        }
+        out[i] = acc;
       }
+      h.red_count = 0;
+      ++h.red_gen;
+      pthread_cond_broadcast(&h.red_cv);
     } else {
-      send_message(root, kTagGather, send_data.data(), send_data.size_bytes());
+      while (h.red_gen == gen) {
+        check_alive();
+        timed_wait_ms(&h.red_cv, &h.red_mu, kAbortPollMs);
+      }
     }
-  }
-
-  void allgather(cspan send_data, mspan recv_data) override {
-    const std::size_t block = send_data.size();
-    SOI_CHECK(recv_data.size() >= block * static_cast<std::size_t>(nranks_),
-              "allgather: receive buffer too small");
-    for (int r = 0; r < nranks_; ++r) {
-      if (r == rank_) continue;
-      send_message(r, kTagAllgather, send_data.data(), send_data.size_bytes());
-    }
-    std::copy(send_data.begin(), send_data.end(),
-              recv_data.begin() + static_cast<std::ptrdiff_t>(block) * rank_);
-    for (int r = 0; r < nranks_; ++r) {
-      if (r == rank_) continue;
-      recv_message(r, kTagAllgather,
-                   recv_data.data() + block * static_cast<std::size_t>(r),
-                   block * sizeof(cplx));
-    }
-  }
-
-  double allreduce_sum(double value) override {
-    double v[1] = {value};
-    reduce(std::span<double>(v, 1), /*op=*/0);
-    return v[0];
-  }
-
-  double allreduce_max(double value) override {
-    double v[1] = {value};
-    reduce(std::span<double>(v, 1), /*op=*/1);
-    return v[0];
-  }
-
-  void allreduce_sum(std::span<double> values) override {
-    reduce(values, /*op=*/0);
-  }
-
-  void alltoall(cspan send_data, mspan recv_data, std::int64_t count,
-                AlltoallAlgo algo) override {
-    (void)algo;
-    const int p = nranks_;
-    const auto block = static_cast<std::size_t>(count);
-    SOI_CHECK(send_data.size() >= block * static_cast<std::size_t>(p),
-              "alltoall: send buffer too small");
-    SOI_CHECK(recv_data.size() >= block * static_cast<std::size_t>(p),
-              "alltoall: recv buffer too small");
-    const Blocks uniform{count};
-    Request req = post_exchange(kTagAlltoall, /*unique_tag=*/false,
-                                send_data.data(), uniform, recv_data.data(),
-                                uniform);
-    wait(req);
-  }
-
-  void alltoallv(cspan send_data, std::span<const std::int64_t> send_counts,
-                 std::span<const std::int64_t> send_displs, mspan recv_data,
-                 std::span<const std::int64_t> recv_counts,
-                 std::span<const std::int64_t> recv_displs) override {
-    check_v_args(send_counts, send_displs, recv_counts, recv_displs,
-                 "alltoallv");
-    Request req = post_exchange(
-        kTagAlltoallv, /*unique_tag=*/false, send_data.data(),
-        Blocks{-1, send_counts.data(), send_displs.data()}, recv_data.data(),
-        Blocks{-1, recv_counts.data(), recv_displs.data()});
-    wait(req);
+    std::copy_n(red_result(), values.size(), values.begin());
   }
 
   void configure_resilience(const NetOptions& opts) override {
@@ -706,41 +555,21 @@ class ShmComm final : public Transport {
     return hdr_->checksums.load(std::memory_order_relaxed) != 0;
   }
 
-  int next_coll_tag(int channel) {
-    const int seq = coll_seq_[static_cast<std::size_t>(channel)]++;
-    return kTagICollBase - (seq * kMaxChannels + channel);
-  }
-
   [[noreturn]] void corrupt(const std::string& what) {
     hdr_->checksum_failures.fetch_add(1, std::memory_order_relaxed);
     throw PayloadCorruptionError(what);
   }
 
-  void check_v_args(std::span<const std::int64_t> send_counts,
-                    std::span<const std::int64_t> send_displs,
-                    std::span<const std::int64_t> recv_counts,
-                    std::span<const std::int64_t> recv_displs,
-                    const char* op) const {
-    const auto p = static_cast<std::size_t>(nranks_);
-    SOI_CHECK(send_counts.size() == p && send_displs.size() == p &&
-                  recv_counts.size() == p && recv_displs.size() == p,
-              op << ": counts/displs must have one entry per rank");
-    const auto me = static_cast<std::size_t>(rank_);
-    SOI_CHECK(send_counts[me] == recv_counts[me],
-              op << ": self send/recv count mismatch");
-  }
-
   /// Posts one all-to-all exchange: registers a receive slot per peer
   /// FIRST (so blocks arriving while this rank is still sending land in
   /// place), copies the own block, then sends the others in ring order.
-  Request post_exchange(int tag, bool unique_tag, const cplx* send,
-                        Blocks sb, cplx* recv, Blocks rb) {
+  Request post_exchange(int tag, const cplx* send, BlockLayout sb, cplx* recv,
+                        BlockLayout rb) {
     const int p = nranks_;
     auto req = std::make_unique<ShmRequest>();
     req->kind_ = ShmRequest::Kind::kColl;
     req->done_ = (p == 1);
     req->tag_ = tag;
-    req->unique_tag_ = unique_tag;
     req->next_step_ = 1;
     req->owner_ = this;
     req->posts_.resize(static_cast<std::size_t>(p));
@@ -1073,45 +902,6 @@ class ShmComm final : public Transport {
     }
   }
 
-  Request make_recv(int src, int tag, void* data, std::size_t bytes) {
-    SOI_CHECK(src == kAnySource || (src >= 0 && src < nranks_),
-              "irecv: source rank " << src << " out of range");
-    auto req = std::make_unique<ShmRequest>();
-    req->kind_ = ShmRequest::Kind::kRecv;
-    req->done_ = false;
-    req->peer_ = src;
-    req->tag_ = tag;
-    req->data_ = data;
-    req->bytes_ = bytes;
-    req->owner_ = this;
-    return Request(std::move(req));
-  }
-
-  /// Blocking matched receive with the world's deadline policy (mirrors
-  /// SimMPI's bounded pop: attempts with doubling backoff, then
-  /// CommTimeoutError). Used by recv_bytes and the blocking collectives.
-  void recv_message(int src, int tag, void* data, std::size_t bytes) {
-    Request req = make_recv(src, tag, data, bytes);
-    const double base = hdr_->timeout_ms.load(std::memory_order_relaxed);
-    if (base <= 0) {
-      wait_for(req, 0);
-      return;
-    }
-    double t = base;
-    const int maxr = hdr_->max_retries.load(std::memory_order_relaxed);
-    for (int attempt = 0;; ++attempt) {
-      if (wait_for(req, t)) return;
-      if (attempt >= maxr) {
-        std::ostringstream os;
-        os << "shm recv: timed out waiting for rank " << src << " tag " << tag
-           << " after " << (attempt + 1) << " attempt(s), base deadline "
-           << base << " ms";
-        throw CommTimeoutError(os.str());
-      }
-      t *= 2;
-    }
-  }
-
   /// Completes one posted block: verify what landed in place, or take it
   /// from the mailbox when it arrived before its slot was claimable.
   bool complete_posting(Posting& post) {
@@ -1175,10 +965,9 @@ class ShmComm final : public Transport {
 
   /// A live exchange dropped without a wait: withdraw its slots so no
   /// frame is ever written into its (possibly freed) receive buffer. A
-  /// block caught mid-landing has its remaining fragments discarded. Only
-  /// a unique tag is cancelled outright — its landed blocks purged and
-  /// future arrivals discarded; a reused tag's later messages must stay
-  /// matchable.
+  /// block caught mid-landing has its remaining fragments discarded; its
+  /// (never reused) tag is cancelled — landed blocks purged, future
+  /// arrivals discarded.
   void drop_exchange(ShmRequest& req) {
     for (Posting& post : req.posts_) {
       if (post.state == Posting::State::kLanding) {
@@ -1194,7 +983,6 @@ class ShmComm final : public Transport {
         unregister(&post);
       }
     }
-    if (!req.unique_tag_) return;
     const int tag = req.tag_;
     cancelled_.insert(tag);
     for (auto it = mailbox_.begin(); it != mailbox_.end();) {
@@ -1207,47 +995,6 @@ class ShmComm final : public Transport {
     }
     // A half-assembled message of that tag is discarded when it completes
     // (the cancelled_ check in close_message).
-  }
-
-  /// Deterministic reduction: contributions land in per-rank slots, the
-  /// last arrival reduces them in rank order (op 0 = sum, 1 = max), every
-  /// rank reads back identical bits.
-  void reduce(std::span<double> values, int op) {
-    SOI_CHECK(values.size() <= kMaxReduceLen,
-              "shm allreduce: vector longer than " << kMaxReduceLen);
-    auto& h = *hdr_;
-    MutexLock lock(&h.red_mu);
-    check_alive();
-    const std::uint64_t gen = h.red_gen;
-    std::copy(values.begin(), values.end(), red_slot(rank_));
-    if (h.red_count == 0) {
-      h.red_len = values.size();
-      h.red_op = op;
-    } else {
-      SOI_CHECK(h.red_len == values.size(),
-                "allreduce: vector length mismatch across ranks");
-      SOI_CHECK(h.red_op == op, "allreduce: operation mismatch across ranks");
-    }
-    if (++h.red_count == nranks_) {
-      double* out = red_result();
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        double acc = red_slot(0)[i];
-        for (int r = 1; r < nranks_; ++r) {
-          acc = (op == 0) ? acc + red_slot(r)[i]
-                          : std::max(acc, red_slot(r)[i]);
-        }
-        out[i] = acc;
-      }
-      h.red_count = 0;
-      ++h.red_gen;
-      pthread_cond_broadcast(&h.red_cv);
-    } else {
-      while (h.red_gen == gen) {
-        check_alive();
-        timed_wait_ms(&h.red_cv, &h.red_mu, kAbortPollMs);
-      }
-    }
-    std::copy_n(red_result(), values.size(), values.begin());
   }
 
   std::byte* base_;
@@ -1265,7 +1012,6 @@ class ShmComm final : public Transport {
   std::set<int> cancelled_;
   std::vector<std::uint64_t> send_seq_;
   std::vector<std::uint64_t> last_seq_from_;
-  std::vector<int> coll_seq_;
   std::int64_t bytes_sent_ = 0;
   TrafficLog traffic_;  ///< inert (caps().traffic_events == false)
 };
@@ -1279,22 +1025,6 @@ ShmRequest::~ShmRequest() {
 // ---------------------------------------------------------------------------
 // World launch (parent side)
 // ---------------------------------------------------------------------------
-
-/// Environment knobs fill any NetOptions field left at its default
-/// (mirrors run_ranks' resolution).
-NetOptions resolve_env_options(NetOptions opts) {
-  if (!opts.faults.any()) {
-    const std::string spec = env_str("SOI_FAULTS", "");
-    if (!spec.empty()) opts.faults = FaultSpec::parse(spec);
-  }
-  if (opts.timeout_ms <= 0) opts.timeout_ms = env_f64("SOI_TIMEOUT_MS", 0.0);
-  opts.max_retries =
-      static_cast<int>(env_i64("SOI_MAX_RETRIES", opts.max_retries));
-  if (env_i64("SOI_CHECKSUMS", opts.checksums ? 1 : 0) == 0) {
-    opts.checksums = false;
-  }
-  return opts;
-}
 
 void record_error(ErrSlot& slot, int valid, Status status, const char* what) {
   std::snprintf(slot.what, kMaxErrWhat, "%s", what);
@@ -1328,6 +1058,49 @@ struct Mapping {
     if (mem != MAP_FAILED) ::munmap(mem, size);
   }
 };
+
+/// True when a rank exited through child_main: 0 on success, 2 after
+/// recording a primary error, 3 after an induced world-abort.
+bool clean_exit(int st) {
+  return WIFEXITED(st) &&
+         (WEXITSTATUS(st) == 0 || WEXITSTATUS(st) == 2 || WEXITSTATUS(st) == 3);
+}
+
+/// Reap every rank in whatever order they exit and return their wait
+/// statuses by rank. The first abnormal exit (a signal, or an exit code
+/// child_main never uses) raises the world's abort flag, so peers blocked
+/// on the dead rank unwind instead of hanging. Sleeps on one pidfd per
+/// rank; a rank whose pidfd cannot be opened is polled every 10 ms.
+std::vector<int> reap_ranks(const std::vector<pid_t>& pids, WorldHdr* hdr) {
+  const std::size_t n = pids.size();
+  std::vector<int> statuses(n, 0);
+  std::vector<bool> reaped(n, false);
+  std::vector<pollfd> fds(n);
+  bool all_fds = true;
+  for (std::size_t i = 0; i < n; ++i) {
+#ifdef SYS_pidfd_open
+    fds[i].fd = static_cast<int>(::syscall(SYS_pidfd_open, pids[i], 0));
+#else
+    fds[i].fd = -1;
+#endif
+    fds[i].events = POLLIN;
+    all_fds = all_fds && fds[i].fd >= 0;
+  }
+  for (std::size_t left = n; left > 0;) {
+    ::poll(fds.data(), static_cast<nfds_t>(n), all_fds ? -1 : 10);
+    for (std::size_t i = 0; i < n; ++i) {
+      int st = 0;
+      if (reaped[i] || ::waitpid(pids[i], &st, WNOHANG) != pids[i]) continue;
+      reaped[i] = true;
+      statuses[i] = st;
+      --left;
+      if (fds[i].fd >= 0) ::close(fds[i].fd);
+      fds[i].fd = -1;  // poll ignores it from now on
+      if (!clean_exit(st)) hdr->aborted.store(1, std::memory_order_release);
+    }
+  }
+  return statuses;
+}
 
 [[noreturn]] void child_main(std::byte* base, const Layout& lay, int rank,
                              int nranks,
@@ -1434,14 +1207,7 @@ std::vector<CommEvent> run_shm_world(
     pids[static_cast<std::size_t>(r)] = pid;
   }
 
-  std::vector<int> statuses(static_cast<std::size_t>(nranks), 0);
-  for (int r = 0; r < nranks; ++r) {
-    int st = 0;
-    while (::waitpid(pids[static_cast<std::size_t>(r)], &st, 0) < 0 &&
-           errno == EINTR) {
-    }
-    statuses[static_cast<std::size_t>(r)] = st;
-  }
+  const std::vector<int> statuses = reap_ranks(pids, hdr);
 
   // Primary errors first (by rank order), induced world-aborts only when
   // no primary exists — exactly run_ranks' rethrow contract.
@@ -1451,10 +1217,7 @@ std::vector<CommEvent> run_shm_world(
   }
   for (int r = 0; r < nranks; ++r) {
     const int st = statuses[static_cast<std::size_t>(r)];
-    const bool clean_exit =
-        WIFEXITED(st) && (WEXITSTATUS(st) == 0 || WEXITSTATUS(st) == 2 ||
-                          WEXITSTATUS(st) == 3);
-    if (!clean_exit) {
+    if (!clean_exit(st)) {
       std::ostringstream os;
       os << "run_shm_world: rank " << r << " terminated abnormally (";
       if (WIFSIGNALED(st)) {

@@ -1,45 +1,35 @@
 // Shared-memory multi-process transport — the "shm" backend of the
-// net::Transport ABI. Unlike SimMPI's thread-per-rank world, every rank is
-// a forked OS PROCESS with its own address space; the only shared state is
-// one anonymous MAP_SHARED region created by the parent before the forks:
+// net::Transport ABI (net/transport.hpp). Every rank is a forked OS
+// PROCESS; the only shared state is one anonymous MAP_SHARED region the
+// parent maps before the forks: a world header (abort flag, error slots,
+// barrier and reduction rendezvous, resilience configuration, counters),
+// one byte-ring inbox per rank with a process-shared mutex/condvar, and a
+// reduction scratch area.
 //
-//   * a world header (abort flag, per-rank error slots, barrier and
-//     reduction rendezvous state, resilience configuration, fault/timeout
-//     counters),
-//   * one byte-ring inbox per rank, guarded by a process-shared
-//     pthread mutex/cond pair,
-//   * a rank-ordered reduction scratch area.
+// What this backend owns — the Transport primitives: isend/irecv as
+// framed fragments through the destination's ring with a CRC32C +
+// per-(src → dst) sequence envelope (PayloadCorruptionError on mismatch);
+// ialltoall(v), whose blocks land straight in the caller's buffer; test
+// and wait_for, which drain this rank's ring (other messages wait in a
+// process-local mailbox with the same (src, tag) matching as SimMPI);
+// barrier; and a rank-ordered vector allreduce. The derived operations
+// are the Transport base's.
 //
-// Messages travel as framed fragments through the destination's ring and
-// carry the same integrity envelope SimMPI stamps: a CRC32C over the whole
-// payload plus a per-(src → dst) sequence number, verified at delivery
-// (PayloadCorruptionError on mismatch — shared-memory corruption is
-// DETECTED, never silently consumed). The receiver drains its ring,
-// landing each block of a posted all-to-all straight in the caller's
-// buffer and everything else in a process-local mailbox, where (src, tag)
-// match out of order exactly like SimMPI's mailbox — so matching
-// semantics, any-source receives, request drop rules and
-// collective-channel ordering are bit-compatible across the two backends.
+// Progress and failure: a sender blocked on a full ring drains its own
+// inbox, then sleeps on its own ring's doorbell, which the destination
+// rings when it frees space — no polling on the progress path. Every
+// sleep is capped by a short staleness bound that re-checks the abort
+// flag. A failing rank records a typed error and raises the flag; the
+// parent raises it for a rank killed by a signal; blocked peers unwind
+// with WorldAbortedError, and the parent rethrows the first primary error
+// by rank order (run_ranks' contract).
 //
-// Flow control is deadlock-free by construction: a sender blocked on a
-// full destination ring drains its OWN inbox, then sleeps on its own
-// ring's doorbell, which the destination rings when it frees space — so
-// two ranks streaming into each other always make progress, without
-// polling. Every sleep is also capped by a short staleness bound that
-// re-checks the world abort flag, so a dead peer can never hang the world:
-// the failing rank records a typed error in its slot and flips the flag;
-// every blocked peer unwinds with WorldAbortedError; the parent rethrows
-// the first primary error by rank order (exactly run_ranks' contract).
+// No fault injector, latency emulation or traffic events — requesting
+// them is REPORTED through unsupported_options(), not ignored.
 //
-// Capability sheet: no fault injector and no latency emulation (the
-// kernel's scheduler is the only source of nondeterminism) — requesting
-// either is REPORTED through unsupported_options(), not ignored. Traffic
-// events are not recorded (child-side logs cannot reach the parent).
-//
-// IMPORTANT fork caveat for callers: rank bodies run in child processes.
-// They may READ parent memory (copy-on-write), but writes do not propagate
-// back — assert results inside the body and let failures surface as child
-// exit codes / typed errors.
+// Fork caveat: rank bodies run in child processes. They may READ parent
+// memory (copy-on-write), but writes do not propagate back — assert
+// results inside the body and let failures surface as typed errors.
 #pragma once
 
 #include <functional>

@@ -7,21 +7,38 @@
 //   * "sim"  — SimMPI, thread-per-rank in one process with fault
 //              injection and wire-latency emulation (net/comm.hpp),
 //   * "shm"  — multi-process shared-memory rings, fork + mmap with the
-//              same CRC32C/sequence integrity envelope (net/shm.hpp),
-//   * "mpi"  — compile-time-gated skeleton mapping this ABI onto
-//              MPI_Comm (net/mpi_transport.hpp, -DSOI_WITH_MPI=ON).
+//              same CRC32C/sequence integrity envelope (net/shm.hpp).
 //
 // Backends register a factory in net::TransportRegistry (net/registry.hpp)
 // and advertise what they can do through TransportCaps. Capabilities are
-// NOT silently dropped: a backend that cannot honour a NetOptions field
-// (say, wire-latency emulation on a real fabric) must report it through
+// NOT silently dropped: a NetOptions field a backend cannot honour (say,
+// wire-latency emulation on a real fabric) is reported through
 // unsupported_options() so callers can warn instead of measuring nothing.
 //
-// The surface is exactly what soi::exec and the serving layer use: tagged
-// blocking and nonblocking point-to-point, ialltoall(v) on co-scheduling
-// channels, the small collective set (barrier/bcast/gather/allgather/
-// allreduce), deadline-bounded waits, and the resilience/introspection
-// queries (fault stats, traffic log, monotonic bytes-sent counter).
+// Primitives and derived operations. A backend implements only the pure
+// virtuals below: buffered isend_bytes / irecv_bytes on any tag, the
+// nonblocking ialltoall / ialltoallv, test, one deadline-bounded wait_for,
+// barrier, one vector allreduce, and the resilience and introspection
+// getters. Everything else is a non-virtual member written once here over
+// those primitives:
+//
+//   * typed and blocking point to point (send/recv/isend/irecv/sendrecv/
+//     try_recv): post + wait;
+//   * wait/waitall: the world's deadline-doubling retry loop over
+//     wait_for — the only one in the library;
+//   * bcast/gather/allgather: point to point on reserved tags;
+//   * the scalar allreduces: the vector allreduce on one element;
+//   * blocking alltoall/alltoallv: ialltoall/ialltoallv on channel 0 +
+//     wait. The channel-0 rule: a blocking all-to-all draws channel 0's
+//     next collective sequence number exactly like a posted one, so ranks
+//     must interleave blocking all-to-alls with their channel-0 postings in
+//     the same program order (other channels stay free to differ).
+//
+// Negative tags are reserved: the derived collectives use a few fixed
+// ones, and each ialltoall(v) posting takes a unique one from a
+// per-(rank, channel) sequence counter (next_coll_tag()). User-facing
+// point to point rejects them; the byte primitives accept them so the
+// base can build collectives on top.
 //
 // Request handles are type-erased and move-only. Dropping a live request
 // has the semantics the SimMPI layer pioneered: an unfinished collective
@@ -36,6 +53,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -77,6 +95,28 @@ enum class AlltoallAlgo {
   kDirect,    ///< post all sends, then drain all receives
 };
 
+/// Where each rank's block sits in one side of an all-to-all buffer:
+/// `count` elements at `count * r` when uniform (count >= 0), else
+/// `counts[r]` elements at `displs[r]`. The counts/displs arrays are
+/// caller-owned. Backends describe both sides of an ialltoall(v) with it.
+struct BlockLayout {
+  std::int64_t count = -1;
+  const std::int64_t* counts = nullptr;
+  const std::int64_t* displs = nullptr;
+
+  [[nodiscard]] std::size_t size(int r) const {
+    return static_cast<std::size_t>(
+        count >= 0 ? count : counts[static_cast<std::size_t>(r)]);
+  }
+  [[nodiscard]] std::ptrdiff_t offset(int r) const {
+    return static_cast<std::ptrdiff_t>(
+        count >= 0 ? count * r : displs[static_cast<std::size_t>(r)]);
+  }
+};
+
+/// Element-wise reduction of Transport::allreduce.
+enum class ReduceOp { kSum, kMax };
+
 /// Per-world resilience configuration. Defaults are the legacy semantics:
 /// no injected faults, unbounded waits, checksums stamped and verified.
 /// Not every backend honours every field — run the options through
@@ -114,7 +154,7 @@ struct NetOptions {
 /// registry (so callers can validate options before launching a world) and
 /// from a live Transport via caps().
 struct TransportCaps {
-  /// Registered backend name ("sim", "shm", "mpi").
+  /// Registered backend name ("sim", "shm").
   const char* name = "?";
   /// Collective channels this backend disambiguates (<= kMaxChannels).
   int max_coll_channels = kMaxChannels;
@@ -196,60 +236,37 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
+  // ---- primitives (each backend implements these) ----
+
   [[nodiscard]] virtual int rank() const = 0;
   [[nodiscard]] virtual int size() const = 0;
   [[nodiscard]] virtual const TransportCaps& caps() const = 0;
 
-  // -- point to point (byte payloads) --
-  virtual void send_bytes(int dst, int tag, const void* data,
-                          std::size_t bytes) = 0;
-  virtual void recv_bytes(int src, int tag, void* data, std::size_t bytes) = 0;
-
-  // -- typed convenience (complex doubles, the library's working type) --
-  void send(int dst, int tag, cspan data) {
-    send_bytes(dst, tag, data.data(), data.size() * sizeof(cplx));
-  }
-  void recv(int src, int tag, mspan data) {
-    recv_bytes(src, tag, data.data(), data.size() * sizeof(cplx));
-  }
-
-  /// Simultaneous exchange (deadlock-free even for self/neighbour cycles).
-  virtual void sendrecv(int dst, cspan send_data, int src, mspan recv_data,
-                        int tag) = 0;
-
-  /// Non-blocking receive attempt: if a matching message is already
-  /// queued, consume it into `data` and return true; otherwise return
-  /// false immediately.
-  virtual bool try_recv(int src, int tag, mspan data) = 0;
-
-  // -- nonblocking point to point --
-
   /// Post a buffered send. Completes immediately (the returned request is
   /// already done); it exists so send/recv pairs read symmetrically and so
-  /// waitall can cover both directions.
-  virtual Request isend(int dst, int tag, cspan data) = 0;
+  /// waitall can cover both directions. Accepts the reserved tags.
   virtual Request isend_bytes(int dst, int tag, const void* data,
                               std::size_t bytes) = 0;
 
-  /// Post a receive. No data moves until test()/wait() matches a message;
-  /// `data` must stay valid until then.
-  virtual Request irecv(int src, int tag, mspan data) = 0;
+  /// Post a receive (src may be kAnySource). No data moves until
+  /// test()/wait() matches a message; `data` must stay valid until then.
+  /// Accepts the reserved tags.
   virtual Request irecv_bytes(int src, int tag, void* data,
                               std::size_t bytes) = 0;
 
-  // -- nonblocking collectives --
-
-  /// Nonblocking alltoall. All ranks must post the nonblocking collectives
-  /// of one `channel` in the same program order (a per-rank, per-channel
-  /// sequence number disambiguates concurrent in-flight collectives);
-  /// postings on different channels may interleave differently per rank.
-  /// `channel` must be < caps().max_coll_channels.
+  /// Nonblocking alltoall: block d of `send_data` goes to rank d, block s
+  /// of `recv_data` arrives from rank s. All ranks must post the
+  /// collectives of one `channel` in the same program order (a per-rank,
+  /// per-channel sequence number disambiguates concurrent in-flight
+  /// collectives); postings on different channels may interleave
+  /// differently per rank. `channel` must be < caps().max_coll_channels.
   virtual Request ialltoall(cspan send_data, mspan recv_data,
                             std::int64_t count,
                             AlltoallAlgo algo = AlltoallAlgo::kPairwise,
                             int channel = 0) = 0;
 
-  /// Nonblocking alltoallv. `recv_counts`/`recv_displs` are captured by
+  /// Nonblocking alltoallv (counts/displacements per destination/source,
+  /// in complex elements). `recv_counts`/`recv_displs` are captured by
   /// pointer and must outlive the request. Same per-channel ordering
   /// contract as ialltoall.
   virtual Request ialltoallv(cspan send_data,
@@ -264,55 +281,23 @@ class Transport {
   /// request has completed. Never blocks.
   virtual bool test(Request& req) = 0;
 
-  /// Block until the request completes. Under the world's resilience
-  /// configuration (timeout_ms() > 0) this is a bounded wait that throws
-  /// soi::CommTimeoutError after max_retries() expired deadlines.
-  virtual void wait(Request& req) = 0;
-
   /// One deadline-bounded completion attempt: progress, sleep until the
-  /// deadline, run the backend's recovery at expiry, and report whether
-  /// the request finished. timeout_ms <= 0 blocks until completion.
-  /// Throws soi::PayloadCorruptionError when a payload fails verification
-  /// and recovery is disabled or impossible; never throws on timeout
-  /// (callers own the retry policy).
+  /// deadline, run the backend's recovery at expiry (counting the expiry
+  /// in FaultStats::timeouts), and report whether the request finished.
+  /// timeout_ms <= 0 blocks until completion. Throws
+  /// soi::PayloadCorruptionError when a payload fails verification and
+  /// recovery is disabled or impossible; never throws on timeout (wait()
+  /// owns the retry policy).
   virtual bool wait_for(Request& req, double timeout_ms) = 0;
 
-  /// wait() over a span, in order.
-  virtual void waitall(std::span<Request> reqs) {
-    for (auto& r : reqs) wait(r);
-  }
-
-  // -- collectives --
   virtual void barrier() = 0;
-  virtual void bcast(mspan data, int root) = 0;
-  /// Root gathers size-per-rank blocks in rank order.
-  virtual void gather(cspan send_data, mspan recv_data, int root) = 0;
-  virtual void allgather(cspan send_data, mspan recv_data) = 0;
-  virtual double allreduce_sum(double value) = 0;
-  virtual double allreduce_max(double value) = 0;
-  /// Element-wise sum over all ranks, in place — one rendezvous for the
-  /// whole vector. Every backend must hand BIT-IDENTICAL result vectors to
-  /// every rank (a single accumulation broadcast to all, or a rank-ordered
-  /// reduction — never an order-varying tree per rank), so collective
-  /// guards above the ABI stay consistent across the world.
-  virtual void allreduce_sum(std::span<double> values) = 0;
 
-  /// Exchange `count` complex values with every rank: block d of
-  /// `send_data` goes to rank d; block s of `recv_data` arrives from rank
-  /// s. This is the single global transpose of the SOI algorithm.
-  virtual void alltoall(cspan send_data, mspan recv_data, std::int64_t count,
-                        AlltoallAlgo algo = AlltoallAlgo::kPairwise) = 0;
-
-  /// Variable-size all-to-all: counts/displacements per destination/source,
-  /// in complex elements.
-  virtual void alltoallv(cspan send_data,
-                         std::span<const std::int64_t> send_counts,
-                         std::span<const std::int64_t> send_displs,
-                         mspan recv_data,
-                         std::span<const std::int64_t> recv_counts,
-                         std::span<const std::int64_t> recv_displs) = 0;
-
-  // -- resilience & introspection --
+  /// Element-wise reduction over all ranks, in place — one rendezvous for
+  /// the whole vector. Every backend must hand BIT-IDENTICAL result
+  /// vectors to every rank (a single accumulation broadcast to all, or a
+  /// rank-ordered reduction — never an order-varying tree per rank), so
+  /// collective guards above the ABI stay consistent across the world.
+  virtual void allreduce(std::span<double> values, ReduceOp op) = 0;
 
   /// Install the world's resilience configuration (fault injector,
   /// deadlines, retry budget). First caller wins; later calls are no-ops,
@@ -343,12 +328,97 @@ class Transport {
   /// per-stage byte volumes.
   [[nodiscard]] virtual std::int64_t bytes_sent() const = 0;
 
+  // ---- derived operations (written once, over the primitives) ----
+
+  // -- point to point; user tags must be >= 0 --
+  void send_bytes(int dst, int tag, const void* data, std::size_t bytes);
+  void recv_bytes(int src, int tag, void* data, std::size_t bytes);
+  void send(int dst, int tag, cspan data) {
+    send_bytes(dst, tag, data.data(), data.size_bytes());
+  }
+  void recv(int src, int tag, mspan data) {
+    recv_bytes(src, tag, data.data(), data.size_bytes());
+  }
+  Request isend(int dst, int tag, cspan data);
+  Request irecv(int src, int tag, mspan data);
+
+  /// Simultaneous exchange. Sends are buffered, so send-then-recv cannot
+  /// deadlock even for self/neighbour cycles.
+  void sendrecv(int dst, cspan send_data, int src, mspan recv_data, int tag);
+
+  /// Non-blocking receive attempt: if a matching message is already
+  /// queued, consume it into `data` and return true; otherwise return
+  /// false immediately (the unmatched posting is dropped).
+  bool try_recv(int src, int tag, mspan data);
+
+  /// Block until the request completes and return its retry count: the
+  /// attempts that expired without completing. Under the world's
+  /// resilience configuration (timeout_ms() > 0) each attempt is a
+  /// wait_for whose deadline doubles after every such expiry;
+  /// soi::CommTimeoutError after max_retries() + 1 of them. An expiry
+  /// whose recovery completes the request ends the wait without a retry
+  /// (FaultStats::timeouts still counts it). Unbounded worlds block and
+  /// return 0.
+  int wait(Request& req);
+
+  /// wait() over a span, in order.
+  void waitall(std::span<Request> reqs) {
+    for (auto& r : reqs) wait(r);
+  }
+
+  // -- collectives --
+  void bcast(mspan data, int root);
+  /// Root gathers size-per-rank blocks in rank order.
+  void gather(cspan send_data, mspan recv_data, int root);
+  void allgather(cspan send_data, mspan recv_data);
+  double allreduce_sum(double value);
+  double allreduce_max(double value);
+  void allreduce_sum(std::span<double> values) {
+    allreduce(values, ReduceOp::kSum);
+  }
+
+  /// Blocking alltoall: ialltoall on channel 0 + wait (see the channel-0
+  /// rule in the header comment). This is the single global transpose of
+  /// the SOI algorithm.
+  void alltoall(cspan send_data, mspan recv_data, std::int64_t count,
+                AlltoallAlgo algo = AlltoallAlgo::kPairwise);
+
+  /// Blocking alltoallv: ialltoallv on channel 0 + wait.
+  void alltoallv(cspan send_data, std::span<const std::int64_t> send_counts,
+                 std::span<const std::int64_t> send_displs, mspan recv_data,
+                 std::span<const std::int64_t> recv_counts,
+                 std::span<const std::int64_t> recv_displs);
+
   /// Human-readable warnings, one per NetOptions field this backend cannot
   /// honour (capability mismatches are reported, never silently ignored).
-  /// Empty when every requested option is supported. The default derives
-  /// the answer from caps() via unsupported_option_warnings().
-  [[nodiscard]] virtual std::vector<std::string> unsupported_options(
+  /// Empty when every requested option is supported.
+  [[nodiscard]] std::vector<std::string> unsupported_options(
       const NetOptions& opts) const;
+
+ protected:
+  /// Tag of this rank's next ialltoall(v) posting on `channel` (checked
+  /// against caps().max_coll_channels): -16 - (seq * kMaxChannels +
+  /// channel) for the channel's seq-th posting. All ranks post one
+  /// channel's collectives in the same program order, so every rank
+  /// derives the same tag; channels occupy disjoint residues, so postings
+  /// on different channels never cross-match.
+  int next_coll_tag(int channel);
+
+  /// The uniform layout of an ialltoall, after checking `count` and both
+  /// buffer sizes.
+  [[nodiscard]] BlockLayout alltoall_layout(cspan send_data, mspan recv_data,
+                                            std::int64_t count) const;
+
+  /// Checks ialltoallv's arguments (one entry per rank, matching own
+  /// block) and returns the {send, recv} layouts.
+  [[nodiscard]] std::pair<BlockLayout, BlockLayout> alltoallv_layouts(
+      std::span<const std::int64_t> send_counts,
+      std::span<const std::int64_t> send_displs,
+      std::span<const std::int64_t> recv_counts,
+      std::span<const std::int64_t> recv_displs) const;
+
+ private:
+  int coll_seq_[kMaxChannels] = {};
 };
 
 /// Caps-driven capability check shared by every backend (and usable
@@ -356,5 +426,10 @@ class Transport {
 /// one warning string per NetOptions field `caps` cannot honour.
 std::vector<std::string> unsupported_option_warnings(const TransportCaps& caps,
                                                      const NetOptions& opts);
+
+/// Environment knobs fill any NetOptions field left at its default:
+/// SOI_FAULTS (spec string), SOI_TIMEOUT_MS, SOI_MAX_RETRIES,
+/// SOI_CHECKSUMS=0. Every backend's world launcher resolves through this.
+NetOptions resolve_env_options(NetOptions opts);
 
 }  // namespace soi::net

@@ -41,34 +41,6 @@ constexpr int kPhasePost = 0;  ///< stage input + nonblocking comm posts
 constexpr int kPhaseWait = 1;  ///< complete a posted operation
 constexpr int kPhaseWork = 2;  ///< compute kernel
 
-/// Deadline-bounded completion of one posted operation at chunk
-/// granularity: each expired attempt re-queues the retained clean copies
-/// of the pending pieces (idempotent retransmit), bumps the stage's retry
-/// counter, and doubles the deadline; soi::CommTimeoutError after the
-/// world's retry budget. Falls back to a plain blocking wait when the
-/// world has no deadline configured (the fault-free default).
-void wait_resilient(net::Transport& comm, net::Request& req,
-                    exec::StageRecord& rec, const char* what) {
-  const double base = comm.timeout_ms();
-  if (base <= 0) {
-    comm.wait(req);
-    return;
-  }
-  double t = base;
-  const int maxr = comm.max_retries();
-  for (int attempt = 0;; ++attempt) {
-    if (comm.wait_for(req, t)) return;
-    rec.retries += 1;
-    if (attempt >= maxr) {
-      std::ostringstream os;
-      os << "SOI pipeline: " << what << " wait timed out after "
-         << (attempt + 1) << " attempt(s), base deadline " << base << " ms";
-      throw CommTimeoutError(os.str());
-    }
-    t *= 2;  // exponential backoff
-  }
-}
-
 /// Stages 1+2 of the per-rank pipeline: halo materialisation and the
 /// convolution W x. Emits "halo" and "conv". Node-driven: a post node
 /// stages the input (and isend/irecvs the halo when remote), a wait node
@@ -192,8 +164,8 @@ class HaloConvStageT final : public exec::StageT<Real> {
                  exec::StageRecord* rec) const {
     const auto inst = static_cast<std::size_t>(ctx.instance);
     exec::WaitTimer wt(rec[0]);
-    wait_resilient(*ctx.comm, hrecv_[inst], rec[0], "halo");
-    wait_resilient(*ctx.comm, hsend_[inst], rec[0], "halo");
+    rec[0].retries += ctx.comm->wait(hrecv_[inst]);
+    rec[0].retries += ctx.comm->wait(hsend_[inst]);
   }
 
   void conv(exec::ExecContextT<Real>& ctx, exec::StageRecord* rec,
@@ -389,7 +361,7 @@ class ExchangeStageT final : public exec::StageT<Real> {
                          static_cast<std::size_t>(env.chunk_depth);
       if (node.phase == kPhaseWait) {
         exec::WaitTimer wt(*rec);
-        wait_resilient(*ctx.comm, reqs_[slot0 + g], *rec, "exchange");
+        rec->retries += ctx.comm->wait(reqs_[slot0 + g]);
         return;
       }
       const std::span<C> send = ctx.arena->template span<C>(env.send);
@@ -657,7 +629,7 @@ class ExchangeStageT final : public exec::StageT<Real> {
     for (int j = 0; j < c.k; ++j) {
       const std::uint32_t bit = 1u << j;
       while ((m.mask & bit) == 0) {
-        wait_resilient(*ctx.comm, rq[j], *rec, "coded exchange");
+        rec->retries += ctx.comm->wait(rq[j]);
         if (coded_accept(m, j, epoch)) {
           m.mask |= bit;
         } else {
@@ -984,7 +956,7 @@ class ExchangeStageT final : public exec::StageT<Real> {
                        rec, rec + 2);
       } else {
         for (std::size_t i = 0; i < plan.phases.front().recvs.size(); ++i) {
-          wait_resilient(*ctx.comm, rq[i], *rec, "exchange");
+          rec->retries += ctx.comm->wait(rq[i]);
         }
       }
     }
@@ -1043,7 +1015,7 @@ class ExchangeStageT final : public exec::StageT<Real> {
                          node.chunk, rec, rec + 2);
         } else {
           for (std::size_t i = 0; i < nr; ++i) {
-            wait_resilient(*ctx.comm, wq[i], *rec, "exchange");
+            rec->retries += ctx.comm->wait(wq[i]);
           }
         }
       }

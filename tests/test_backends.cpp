@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -252,18 +253,6 @@ TEST(EngineRegistryTest, UnknownEngineThrowsListingRegisteredEngines) {
   }
 }
 
-TEST(EngineRegistryTest, FftwWithoutBuildFlagNamesTheFlag) {
-  auto& reg = fft::EngineRegistry::instance();
-  if (reg.contains("fftw")) GTEST_SKIP() << "built with SOI_WITH_FFTW=ON";
-  try {
-    (void)reg.info("fftw");
-    FAIL() << "'fftw' must be absent without the build flag";
-  } catch (const InvalidArgumentError& e) {
-    EXPECT_NE(std::string(e.what()).find("SOI_WITH_FFTW"), std::string::npos)
-        << e.what();
-  }
-}
-
 TEST(EngineRegistryTest, RegistrationIsExactlyOncePerName) {
   auto& reg = fft::EngineRegistry::instance();
   const auto factory_d = [](std::int64_t n, std::int64_t w) {
@@ -340,7 +329,6 @@ namespace {
 std::vector<std::string> launchable_backends() {
   std::vector<std::string> out;
   for (const auto& name : net::TransportRegistry::instance().names()) {
-    if (name == "mpi") continue;  // skeleton: needs a real MPI launcher
     if (name.rfind("test-", 0) == 0) continue;  // registered by tests above
     out.push_back(name);
   }
@@ -629,6 +617,91 @@ void check_big_recv(const cvec& got, int rank, int p, int salt,
 
 }  // namespace
 
+TEST_P(TransportConformance, BlockingCollectivesShareChannelZeroInOrder) {
+  // A blocking all-to-all draws channel 0's next sequence number, exactly
+  // like a posted one. With an ialltoall in flight on channel 0, every
+  // blocking collective below must still match its own blocks, and the
+  // posted exchange must complete bit-exact afterwards.
+  net::run_world(GetParam(), 4, [](net::Transport& t) {
+    const int r = t.rank();
+    const int p = t.size();
+    const cvec big = big_send_buffer(r, p, /*salt=*/3);
+    cvec big_got(big.size());
+    net::Request posted = t.ialltoall(big, big_got, kBigBlock,
+                                      net::AlltoallAlgo::kPairwise, 0);
+
+    const std::int64_t count = 5;
+    cvec send(static_cast<std::size_t>(p * count));
+    for (int d = 0; d < p; ++d) {
+      for (std::int64_t k = 0; k < count; ++k) {
+        send[static_cast<std::size_t>(d * count + k)] =
+            cplx(100.0 * r + d, static_cast<double>(k));
+      }
+    }
+    cvec got(send.size());
+    t.alltoall(send, got, count);
+    for (int s = 0; s < p; ++s) {
+      for (std::int64_t k = 0; k < count; ++k) {
+        SOI_CHECK(got[static_cast<std::size_t>(s * count + k)] ==
+                      cplx(100.0 * s + r, static_cast<double>(k)),
+                  "blocking alltoall block from rank " << s << " differs");
+      }
+    }
+
+    // alltoallv with counts that differ per (src, dst) pair.
+    const auto vcount = [](int src, int dst) -> std::int64_t {
+      return (src + 2 * dst) % 3 + 1;
+    };
+    std::vector<std::int64_t> sc(static_cast<std::size_t>(p)),
+        sd(static_cast<std::size_t>(p)), rc(static_cast<std::size_t>(p)),
+        rd(static_cast<std::size_t>(p));
+    std::int64_t so = 0, ro = 0;
+    for (int q = 0; q < p; ++q) {
+      const auto i = static_cast<std::size_t>(q);
+      sc[i] = vcount(r, q);
+      sd[i] = so;
+      so += sc[i];
+      rc[i] = vcount(q, r);
+      rd[i] = ro;
+      ro += rc[i];
+    }
+    cvec vsend(static_cast<std::size_t>(so)), vgot(static_cast<std::size_t>(ro));
+    for (int q = 0; q < p; ++q) {
+      for (std::int64_t k = 0; k < sc[static_cast<std::size_t>(q)]; ++k) {
+        vsend[static_cast<std::size_t>(sd[static_cast<std::size_t>(q)] + k)] =
+            cplx(-1.0 * r, 10.0 * q + static_cast<double>(k));
+      }
+    }
+    t.alltoallv(vsend, sc, sd, vgot, rc, rd);
+    for (int q = 0; q < p; ++q) {
+      for (std::int64_t k = 0; k < rc[static_cast<std::size_t>(q)]; ++k) {
+        SOI_CHECK(vgot[static_cast<std::size_t>(rd[static_cast<std::size_t>(q)] +
+                                                k)] ==
+                      cplx(-1.0 * q, 10.0 * r + static_cast<double>(k)),
+                  "blocking alltoallv block from rank " << q << " differs");
+      }
+    }
+
+    cvec msg(2);
+    if (r == 3) msg = {{0.5, -0.25}, {1e-300, 7.0}};
+    t.bcast(msg, /*root=*/3);
+    SOI_CHECK(msg[0] == cplx(0.5, -0.25) && msg[1] == cplx(1e-300, 7.0),
+              "bcast payload differs on rank " << r);
+
+    cvec ring_in(3);
+    t.sendrecv((r + 1) % p, cvec(3, cplx(r, 1.0 / (r + 1))), (r + p - 1) % p,
+               ring_in, /*tag=*/31);
+    const int left = (r + p - 1) % p;
+    for (const cplx& v : ring_in) {
+      SOI_CHECK(v == cplx(left, 1.0 / (left + 1)),
+                "cyclic sendrecv payload differs on rank " << r);
+    }
+
+    t.wait(posted);
+    check_big_recv(big_got, r, p, 3, "posted channel-0 ialltoall");
+  });
+}
+
 TEST_P(TransportConformance, RingOverflowAlltoallVariantsAreBitExact) {
   net::run_world(GetParam(), 4, [](net::Transport& t) {
     const int r = t.rank();
@@ -803,6 +876,23 @@ std::vector<char> slurp(const std::string& path) {
 }
 
 }  // namespace
+
+TEST(ShmWorld, RankKilledBySignalAbortsTheWorld) {
+  // Rank 1 dies outside any catch block, so it records no error and never
+  // raises the abort flag itself. The parent must notice the death, abort
+  // the world so rank 0 stops waiting for rank 1, and report the signal.
+  try {
+    net::run_world("shm", 2, [](net::Transport& t) {
+      if (t.rank() == 1) ::raise(SIGKILL);
+      cvec v(1);
+      t.recv(1, /*tag=*/60, v);
+    });
+    FAIL() << "run_world must report the killed rank";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("signal 9"), std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(BackendParity, SoiDistBitIdenticalOverSimAndShm) {
   const std::int64_t n = 1 << 12;

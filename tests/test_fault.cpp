@@ -279,6 +279,30 @@ TEST(Transport, DropIsRecoveredFromRetainedCopy) {
   });
 }
 
+TEST(Transport, NonblockingDropRecoveryCountsTheTimeout) {
+  // FaultStats::timeouts counts every expired deadline, also when the
+  // retransmit at expiry recovers the message: irecv + wait must report
+  // the same expiry as a blocking recv does.
+  net::NetOptions nopts;
+  nopts.faults = FaultSpec::parse("4:drop:1");
+  nopts.timeout_ms = 10;
+  net::run_ranks(2, nopts, [](net::Comm& c) {
+    if (c.rank() == 0) {
+      cvec d = {cplx{7.0, 8.0}};
+      c.send(1, 3, d);
+    } else {
+      cvec got(1);
+      net::Request rq = c.irecv(0, 3, got);
+      c.wait(rq);
+      EXPECT_EQ(got[0], (cplx{7.0, 8.0}));
+      const net::FaultStats st = c.fault_stats();
+      EXPECT_GE(st.drops, 1);
+      EXPECT_GE(st.retransmits, 1);
+      EXPECT_GE(st.timeouts, 1);
+    }
+  });
+}
+
 TEST(Transport, DuplicatesAreDeliveredExactlyOnce) {
   net::NetOptions nopts;
   nopts.faults = FaultSpec::parse("6:duplicate:1");

@@ -152,16 +152,14 @@ int usage(std::FILE* out) {
       "  --transport  rank fabric (tune/dist/serve): a registered\n"
       "            net::TransportRegistry backend — sim (in-process\n"
       "            threads, default), shm (forked processes over shared\n"
-      "            memory), mpi (builds with -DSOI_WITH_MPI=ON). Default\n"
-      "            from $SOI_TRANSPORT; unknown names are rejected with\n"
-      "            the registered list. serve and measured tune need an\n"
-      "            in-process (threaded) transport\n"
+      "            memory). Default from $SOI_TRANSPORT; unknown names\n"
+      "            are rejected with the registered list. serve and\n"
+      "            measured tune need an in-process (threaded) transport\n"
       "  --engine  FFT executor (transform/bench/tune/dist): a registered\n"
       "            fft::EngineRegistry backend — batch (SIMD SoA,\n"
-      "            default), scalar (one transform at a time), fftw\n"
-      "            (builds with -DSOI_WITH_FFTW=ON). Default from\n"
-      "            $SOI_FFT_ENGINE; unknown names are rejected with the\n"
-      "            registered list\n"
+      "            default), scalar (one transform at a time). Default\n"
+      "            from $SOI_FFT_ENGINE; unknown names are rejected with\n"
+      "            the registered list\n"
       "\n"
       "wisdom: `tune` persists the fastest (profile tier, segments/rank,\n"
       "all-to-all schedule, overlap) per shape; other subcommands reuse it\n"
