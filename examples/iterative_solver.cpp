@@ -6,10 +6,12 @@
 // Richardson iteration in the Fourier domain, running the inner-loop
 // transforms with the LOW-accuracy SOI profile and only the final
 // correction pass at full accuracy — then compares against running every
-// iteration at full accuracy.
+// iteration at full accuracy. Exits nonzero unless the mixed run reaches
+// the full run's error with fewer convolution multiply-adds.
 //
 //   build/examples/iterative_solver
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "common/timer.hpp"
@@ -27,21 +29,37 @@ void apply_operator(const core::SoiFftSerial& plan, const cvec& ghat,
   plan.inverse(scratch, out);
 }
 
-double solve(const core::SoiFftSerial& inner, const core::SoiFftSerial& last,
-             const cvec& ghat, const cvec& f, int iters, cvec& u,
-             const cvec& truth) {
+/// Convolution multiply-adds of one transform: P segments of M' rows x B
+/// taps each. The inner product is the only work that differs between the
+/// accuracy tiers, so it is the deterministic measure of their cost.
+std::int64_t conv_madds(const core::SoiFftSerial& plan) {
+  const core::SoiGeometry& g = plan.geometry();
+  return g.p() * g.conv_madds_per_rank();
+}
+
+struct SolveResult {
+  double err = 0.0;
+  std::int64_t madds = 0;  // convolution multiply-adds over every transform
+};
+
+SolveResult solve(const core::SoiFftSerial& inner,
+                  const core::SoiFftSerial& last, const cvec& ghat,
+                  const cvec& f, int iters, cvec& u, const cvec& truth) {
   const std::size_t n = f.size();
   u.assign(n, cplx{0.0, 0.0});
   cvec r = f, au(n), scratch(n);
   const double omega_relax = 0.9;  // |ghat| <= 1 by construction below
+  SolveResult res;
   for (int it = 0; it < iters; ++it) {
     const core::SoiFftSerial& plan = (it == iters - 1) ? last : inner;
     // u += omega * r;  r = f - A u.
     for (std::size_t i = 0; i < n; ++i) u[i] += omega_relax * r[i];
     apply_operator(plan, ghat, u, au, scratch);
+    res.madds += 2 * conv_madds(plan);  // one forward + one inverse
     for (std::size_t i = 0; i < n; ++i) r[i] = f[i] - au[i];
   }
-  return rel_error(u, truth);
+  res.err = rel_error(u, truth);
+  return res;
 }
 
 }  // namespace
@@ -72,25 +90,35 @@ int main() {
   cvec u;
 
   Timer t;
-  const double err_full = solve(plan_full, plan_full, ghat, f, iters, u, truth);
+  const SolveResult full_run =
+      solve(plan_full, plan_full, ghat, f, iters, u, truth);
   const double time_full = t.seconds();
 
   t.reset();
-  const double err_mixed = solve(plan_low, plan_full, ghat, f, iters, u, truth);
+  const SolveResult mixed_run =
+      solve(plan_low, plan_full, ghat, f, iters, u, truth);
   const double time_mixed = t.seconds();
 
   std::printf("Richardson deconvolution, %d iterations, N = %lld:\n\n", iters,
               static_cast<long long>(n));
-  std::printf("  all-full-accuracy : err %.2e, %.0f ms\n", err_full,
-              time_full * 1e3);
-  std::printf("  low + final full  : err %.2e, %.0f ms (%.2fx faster)\n",
-              err_mixed, time_mixed * 1e3, time_full / time_mixed);
+  std::printf("  all-full-accuracy : err %.2e, %.0f ms, %.1fM conv madds\n",
+              full_run.err, time_full * 1e3,
+              static_cast<double>(full_run.madds) * 1e-6);
+  std::printf("  low + final full  : err %.2e, %.0f ms, %.1fM conv madds "
+              "(%.2fx fewer)\n",
+              mixed_run.err, time_mixed * 1e3,
+              static_cast<double>(mixed_run.madds) * 1e-6,
+              static_cast<double>(full_run.madds) /
+                  static_cast<double>(mixed_run.madds));
   std::printf("\nThe mixed-precision run converges to the same solution\n"
               "error while doing the bulk of its transforms with the\n"
               "B=%lld window instead of B=%lld — the paper's Section 7.3\n"
               "accuracy-for-speed dial applied where it matters.\n",
               static_cast<long long>(low.taps),
               static_cast<long long>(full.taps));
-  const bool ok = err_mixed < 2.0 * err_full + 1e-6 && time_mixed < time_full;
+  // Accuracy, and the cost as a count: wall-clock time is printed, not
+  // asserted (on a loaded host it says nothing about the window).
+  const bool ok = mixed_run.err < 2.0 * full_run.err + 1e-6 &&
+                  mixed_run.madds < full_run.madds;
   return ok ? 0 : 1;
 }

@@ -34,11 +34,11 @@ run_asan() {
   cmake -B build-ci/asan -S . -DSOI_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build build-ci/asan -j "${jobs}" --target \
-    test_common test_net test_fft test_batch_fft test_soi test_dist \
-    test_pipeline test_tune
+    test_common test_net test_fft test_batch_fft test_fft_float test_soi \
+    test_dist test_pipeline test_tune
   (cd build-ci/asan &&
     ./tests/test_common && ./tests/test_net && ./tests/test_fft &&
-    ./tests/test_batch_fft && ./tests/test_soi &&
+    ./tests/test_batch_fft && ./tests/test_fft_float && ./tests/test_soi &&
     ./tests/test_dist && ./tests/test_pipeline && ./tests/test_tune)
 }
 

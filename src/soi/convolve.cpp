@@ -1,22 +1,205 @@
 #include "soi/convolve.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstring>
 #include <type_traits>
+#include <utility>
 
 #include "common/error.hpp"
 
 namespace soi::core {
 
 namespace {
-template <class Real>
-void check_buffers(const SoiGeometry& g, cspan_t<Real> local_in,
-                   mspan_t<Real> out) {
-  SOI_CHECK(local_in.size() >= static_cast<std::size_t>(g.local_input()),
-            "convolve: input needs M + halo = " << g.local_input()
-                                                << " elements, got "
-                                                << local_in.size());
-  SOI_CHECK(out.size() >= static_cast<std::size_t>(g.chunks_per_rank() * g.p()),
-            "convolve: output needs M'/P * P elements");
+
+// SIMD width and register budget of the build target. A tile keeps
+// 2 * kGroups * rows accumulators plus 2 * kGroups input and 2 table
+// vectors live: 26 of 32 zmm registers at 5 rows; 14 of 16 at 2 rows.
+#if defined(__AVX512F__)
+constexpr int kVecBytes = 64;
+constexpr int kMaxRows = 5;
+#elif defined(__AVX__)
+constexpr int kVecBytes = 32;
+constexpr int kMaxRows = 2;
+#else
+constexpr int kVecBytes = 16;
+constexpr int kMaxRows = 2;
+#endif
+constexpr int kGroups = 2;
+
+/// Groups [q_begin, q_end) read in[q_begin*nu*P, (q_end-1)*nu*P + B*P)
+/// and write out[q_begin*mu*P, q_end*mu*P).
+void check_range(const SoiGeometry& g, std::size_t in_size,
+                 std::size_t out_size, std::int64_t q_begin,
+                 std::int64_t q_end) {
+  SOI_CHECK(0 <= q_begin && q_begin <= q_end,
+            "convolve: bad group range [" << q_begin << ", " << q_end << ")");
+  if (q_begin == q_end) return;
+  const std::int64_t in_need = (q_end - 1) * g.nu() * g.p() + g.taps() * g.p();
+  SOI_CHECK(in_size >= static_cast<std::size_t>(in_need),
+            "convolve: groups [" << q_begin << ", " << q_end << ") need "
+                                 << in_need << " input elements, got "
+                                 << in_size);
+  SOI_CHECK(out_size >= static_cast<std::size_t>(q_end * g.mu() * g.p()),
+            "convolve: groups [" << q_begin << ", " << q_end << ") need "
+                                 << q_end * g.mu() * g.p()
+                                 << " output elements, got " << out_size);
 }
+
+// W lanes of Real: a GCC/Clang vector-extension type (as in fft/batch.cpp)
+// that lowers to one zmm/ymm/xmm op, with relaxed alignment (the lane
+// offsets are arbitrary multiples of W); Real itself at W = 1.
+template <class Real, int W>
+struct LanesOf {
+  typedef Real type
+      __attribute__((vector_size(W * sizeof(Real)), aligned(alignof(Real))));
+};
+template <class Real>
+struct LanesOf<Real, 1> {
+  using type = Real;
+};
+template <class Real, int W>
+using lanes_t = typename LanesOf<Real, W>::type;
+
+template <class V, class Real>
+inline V load_lanes(const Real* src) {
+  V v;
+  std::memcpy(&v, src, sizeof(V));
+  return v;
+}
+
+/// acc += t * x for one complex tap: re += tr*xr - ti*xi, im += tr*xi +
+/// ti*xr. -ffp-contract fuses the first product of each part, so every
+/// vector lane computes re + fma(tr, xr, -(ti*xi)), im + fma(tr, xi, ti*xr).
+/// The one-lane tile spells those FMAs out: left to contraction, the SLP
+/// vectoriser may pack a scalar tile's groups into one vector and fuse the
+/// other product, and a 1-group tile would then differ from a 2-group one.
+template <class V>
+inline void cmac(V& acc_re, V& acc_im, V tr, V ti, V xr, V xi) {
+#ifdef __FMA__
+  if constexpr (std::is_floating_point_v<V>) {
+    acc_re += std::fma(tr, xr, -(ti * xi));
+    acc_im += std::fma(tr, xi, ti * xr);
+    return;
+  }
+#endif
+  acc_re += tr * xr - ti * xi;
+  acc_im += tr * xi + ti * xr;
+}
+
+/// One kernel call's operands: split input at the rank's first group,
+/// output at chunk 0, and the geometry's strides.
+template <class Real>
+struct TileArgs {
+  const Real* in_re;
+  const Real* in_im;
+  const ConvTableT<Real>* table;
+  cplx_t<Real>* out;
+  std::int64_t p, b, mu, nu_p;
+};
+
+/// Register tile: rows [r0, r0 + R) of groups [q, q + G), lanes
+/// [off, off + W). All 2*G*R partial sums stay in registers across the
+/// B-block reduction; per block the tile loads G input vectors (re/im)
+/// and R table vectors (re/im). Each output is summed in ascending block
+/// order with the same expression as every other tile shape.
+template <class Real, int W, int G, int R>
+void conv_tile(const TileArgs<Real>& a, std::int64_t q, std::int64_t r0,
+               std::int64_t off) {
+  using V = lanes_t<Real, W>;
+  const std::int64_t p = a.p;
+  const Real* __restrict xr_base = a.in_re + q * a.nu_p + off;
+  const Real* __restrict xi_base = a.in_im + q * a.nu_p + off;
+  const Real* __restrict tr_row[R];
+  const Real* __restrict ti_row[R];
+  for (int r = 0; r < R; ++r) {
+    tr_row[r] = a.table->row_re(r0 + r) + off;
+    ti_row[r] = a.table->row_im(r0 + r) + off;
+  }
+  V acc_re[G][R] = {};
+  V acc_im[G][R] = {};
+  for (std::int64_t blk = 0; blk < a.b; ++blk) {
+    const std::int64_t o = blk * p;
+    V xr[G], xi[G];
+    for (int g = 0; g < G; ++g) {
+      xr[g] = load_lanes<V>(xr_base + g * a.nu_p + o);
+      xi[g] = load_lanes<V>(xi_base + g * a.nu_p + o);
+    }
+    for (int r = 0; r < R; ++r) {
+      const V tr = load_lanes<V>(tr_row[r] + o);
+      const V ti = load_lanes<V>(ti_row[r] + o);
+      for (int g = 0; g < G; ++g) {
+        cmac(acc_re[g][r], acc_im[g][r], tr, ti, xr[g], xi[g]);
+      }
+    }
+  }
+  for (int g = 0; g < G; ++g) {
+    for (int r = 0; r < R; ++r) {
+      Real re[W], im[W];
+      std::memcpy(re, &acc_re[g][r], sizeof(V));
+      std::memcpy(im, &acc_im[g][r], sizeof(V));
+      cplx_t<Real>* dst = a.out + ((q + g) * a.mu + r0 + r) * p + off;
+      for (int pp = 0; pp < W; ++pp) dst[pp] = {re[pp], im[pp]};
+    }
+  }
+}
+
+template <class Real>
+using TileFn = void (*)(const TileArgs<Real>&, std::int64_t, std::int64_t,
+                        std::int64_t);
+
+// Tile kernels for G groups, indexed by row count - 1.
+template <class Real, int W, int G, int... Rm1>
+constexpr std::array<TileFn<Real>, sizeof...(Rm1)> tile_table(
+    std::integer_sequence<int, Rm1...>) {
+  return {&conv_tile<Real, W, G, Rm1 + 1>...};
+}
+
+/// Groups [q_begin, q_end) at lane width W (W divides P): tiles of kGroups
+/// groups (the last one may hold fewer), rows cut into balanced blocks of
+/// at most kMaxRows.
+template <class Real, int W>
+void conv_groups(const TileArgs<Real>& a, std::int64_t q_begin,
+                 std::int64_t q_end) {
+  constexpr auto rows = std::make_integer_sequence<int, kMaxRows>{};
+  static constexpr auto full = tile_table<Real, W, kGroups>(rows);
+  static constexpr auto last = tile_table<Real, W, 1>(rows);
+  static_assert(kGroups == 2, "the remainder tile holds one group");
+  const std::int64_t row_blocks = (a.mu + kMaxRows - 1) / kMaxRows;
+  const std::int64_t tiles = (q_end - q_begin + kGroups - 1) / kGroups;
+  // One OpenMP region per call: the pipeline passes a rank's whole range
+  // of groups (split in two at q_safe on the dist path).
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+  for (std::int64_t t = 0; t < tiles; ++t) {
+    const std::int64_t q = q_begin + t * kGroups;
+    const auto& fns = (q_end - q >= kGroups) ? full : last;
+    std::int64_t r0 = 0;
+    for (std::int64_t rb = 0; rb < row_blocks; ++rb) {
+      const std::int64_t nrows =
+          a.mu / row_blocks + (rb < a.mu % row_blocks ? 1 : 0);
+      const TileFn<Real> fn = fns[static_cast<std::size_t>(nrows - 1)];
+      for (std::int64_t off = 0; off < a.p; off += W) fn(a, q, r0, off);
+      r0 += nrows;
+    }
+  }
+}
+
+/// Widest lane count that divides P, starting from one SIMD register.
+template <class Real, int W>
+void conv_dispatch(const TileArgs<Real>& a, std::int64_t q_begin,
+                   std::int64_t q_end) {
+  if constexpr (W > 1) {
+    if (a.p % W != 0) {
+      conv_dispatch<Real, W / 2>(a, q_begin, q_end);
+      return;
+    }
+  }
+  conv_groups<Real, W>(a, q_begin, q_end);
+}
+
 }  // namespace
 
 template <class Real>
@@ -24,7 +207,7 @@ void convolve_rank_reference(const SoiGeometry& g,
                              const ConvTableT<Real>& table,
                              std::type_identity_t<cspan_t<Real>> local_in,
                              std::type_identity_t<mspan_t<Real>> out) {
-  check_buffers<Real>(g, local_in, out);
+  check_range(g, local_in.size(), out.size(), 0, g.groups_per_rank());
   using C = cplx_t<Real>;
   const std::int64_t p = g.p();
   const std::int64_t b = g.taps();
@@ -51,188 +234,37 @@ void convolve_rank_reference(const SoiGeometry& g,
   }
 }
 
-namespace {
-
-// Register-blocked group kernel, tiled over the chunk dimension: a tile of
-// kTile accumulator lanes (re/im of a jammed row pair) lives entirely in
-// SIMD registers across the B-block reduction — the paper's Section 6
-// "keep partial sums of inner products in registers while exploiting SIMD
-// parallelism". Works for any P divisible by kTile.
-template <int kTile, class Real>
-void conv_group_tiled(const Real* __restrict base_re,
-                      const Real* __restrict base_im,
-                      const ConvTableT<Real>& table, std::int64_t mu,
-                      std::int64_t b, std::int64_t p, cplx_t<Real>* gout) {
-  std::int64_t r = 0;
-  for (; r + 1 < mu; r += 2) {
-    const Real* __restrict t0r_row = table.row_re(r);
-    const Real* __restrict t0i_row = table.row_im(r);
-    const Real* __restrict t1r_row = table.row_re(r + 1);
-    const Real* __restrict t1i_row = table.row_im(r + 1);
-    auto* d0 = reinterpret_cast<Real*>(gout + r * p);
-    auto* d1 = reinterpret_cast<Real*>(gout + (r + 1) * p);
-    for (std::int64_t off = 0; off < p; off += kTile) {
-      Real a0r[kTile] = {}, a0i[kTile] = {}, a1r[kTile] = {}, a1i[kTile] = {};
-      for (std::int64_t blk = 0; blk < b; ++blk) {
-        const Real* __restrict sr = base_re + blk * p + off;
-        const Real* __restrict si = base_im + blk * p + off;
-        const Real* __restrict t0r = t0r_row + blk * p + off;
-        const Real* __restrict t0i = t0i_row + blk * p + off;
-        const Real* __restrict t1r = t1r_row + blk * p + off;
-        const Real* __restrict t1i = t1i_row + blk * p + off;
-        for (int pp = 0; pp < kTile; ++pp) {
-          a0r[pp] += t0r[pp] * sr[pp] - t0i[pp] * si[pp];
-          a0i[pp] += t0r[pp] * si[pp] + t0i[pp] * sr[pp];
-          a1r[pp] += t1r[pp] * sr[pp] - t1i[pp] * si[pp];
-          a1i[pp] += t1r[pp] * si[pp] + t1i[pp] * sr[pp];
-        }
-      }
-      for (int pp = 0; pp < kTile; ++pp) {
-        d0[2 * (off + pp)] = a0r[pp];
-        d0[2 * (off + pp) + 1] = a0i[pp];
-        d1[2 * (off + pp)] = a1r[pp];
-        d1[2 * (off + pp) + 1] = a1i[pp];
-      }
-    }
-  }
-  for (; r < mu; ++r) {
-    const Real* __restrict t0r_row = table.row_re(r);
-    const Real* __restrict t0i_row = table.row_im(r);
-    auto* d0 = reinterpret_cast<Real*>(gout + r * p);
-    for (std::int64_t off = 0; off < p; off += kTile) {
-      Real a0r[kTile] = {}, a0i[kTile] = {};
-      for (std::int64_t blk = 0; blk < b; ++blk) {
-        const Real* __restrict sr = base_re + blk * p + off;
-        const Real* __restrict si = base_im + blk * p + off;
-        const Real* __restrict t0r = t0r_row + blk * p + off;
-        const Real* __restrict t0i = t0i_row + blk * p + off;
-        for (int pp = 0; pp < kTile; ++pp) {
-          a0r[pp] += t0r[pp] * sr[pp] - t0i[pp] * si[pp];
-          a0i[pp] += t0r[pp] * si[pp] + t0i[pp] * sr[pp];
-        }
-      }
-      for (int pp = 0; pp < kTile; ++pp) {
-        d0[2 * (off + pp)] = a0r[pp];
-        d0[2 * (off + pp) + 1] = a0i[pp];
-      }
-    }
-  }
-}
-
-// Generic-P group kernel (interleaved complex arithmetic on raw scalars).
 template <class Real>
-void conv_group_dynamic(const cplx_t<Real>* base, const ConvTableT<Real>& table,
-                        std::int64_t mu, std::int64_t b, std::int64_t p,
-                        cplx_t<Real>* gout) {
-  const auto* src_d = reinterpret_cast<const Real*>(base);
-  std::int64_t r = 0;
-  for (; r + 1 < mu; r += 2) {
-    const auto* e0 = reinterpret_cast<const Real*>(table.row(r).data());
-    const auto* e1 = reinterpret_cast<const Real*>(table.row(r + 1).data());
-    auto* d0 = reinterpret_cast<Real*>(gout + r * p);
-    auto* d1 = reinterpret_cast<Real*>(gout + (r + 1) * p);
-    for (std::int64_t i = 0; i < 2 * p; ++i) {
-      d0[i] = Real(0);
-      d1[i] = Real(0);
-    }
-    for (std::int64_t blk = 0; blk < b; ++blk) {
-      const Real* __restrict s = src_d + 2 * blk * p;
-      const Real* __restrict t0 = e0 + 2 * blk * p;
-      const Real* __restrict t1 = e1 + 2 * blk * p;
-      for (std::int64_t pp = 0; pp < p; ++pp) {
-        const Real vr = s[2 * pp];
-        const Real vi = s[2 * pp + 1];
-        d0[2 * pp] += t0[2 * pp] * vr - t0[2 * pp + 1] * vi;
-        d0[2 * pp + 1] += t0[2 * pp] * vi + t0[2 * pp + 1] * vr;
-        d1[2 * pp] += t1[2 * pp] * vr - t1[2 * pp + 1] * vi;
-        d1[2 * pp + 1] += t1[2 * pp] * vi + t1[2 * pp + 1] * vr;
-      }
-    }
-  }
-  for (; r < mu; ++r) {
-    const auto* e0 = reinterpret_cast<const Real*>(table.row(r).data());
-    auto* d0 = reinterpret_cast<Real*>(gout + r * p);
-    for (std::int64_t i = 0; i < 2 * p; ++i) d0[i] = Real(0);
-    for (std::int64_t blk = 0; blk < b; ++blk) {
-      const Real* __restrict s = src_d + 2 * blk * p;
-      const Real* __restrict t0 = e0 + 2 * blk * p;
-      for (std::int64_t pp = 0; pp < p; ++pp) {
-        const Real vr = s[2 * pp];
-        const Real vi = s[2 * pp + 1];
-        d0[2 * pp] += t0[2 * pp] * vr - t0[2 * pp + 1] * vi;
-        d0[2 * pp + 1] += t0[2 * pp] * vi + t0[2 * pp + 1] * vr;
-      }
-    }
-  }
+void convolve_split_groups(const SoiGeometry& g, const ConvTableT<Real>& table,
+                           std::type_identity_t<std::span<const Real>> in_re,
+                           std::type_identity_t<std::span<const Real>> in_im,
+                           std::type_identity_t<mspan_t<Real>> out,
+                           std::int64_t q_begin, std::int64_t q_end) {
+  check_range(g, std::min(in_re.size(), in_im.size()), out.size(), q_begin,
+              q_end);
+  const TileArgs<Real> a{in_re.data(), in_im.data(), &table,  out.data(),
+                         g.p(),        g.taps(),     g.mu(), g.nu() * g.p()};
+  constexpr int kLanes = kVecBytes / static_cast<int>(sizeof(Real));
+  conv_dispatch<Real, kLanes>(a, q_begin, q_end);
 }
-
-}  // namespace
 
 template <class Real>
 void convolve_rank_groups(const SoiGeometry& g, const ConvTableT<Real>& table,
                           std::type_identity_t<cspan_t<Real>> local_in,
                           std::type_identity_t<mspan_t<Real>> out,
                           std::int64_t q_begin, std::int64_t q_end) {
-  check_buffers<Real>(g, local_in, out);
-  SOI_CHECK(0 <= q_begin && q_begin <= q_end && q_end <= g.groups_per_rank(),
-            "convolve_rank_groups: bad group range [" << q_begin << ", "
-                                                      << q_end << ")");
-  using C = cplx_t<Real>;
-  const std::int64_t p = g.p();
-  const std::int64_t b = g.taps();
-  const std::int64_t mu = g.mu();
-  const std::int64_t nu = g.nu();
-  const std::int64_t len = g.local_input();
-
-  // Tile width for the register kernel: 16 when P allows (two AVX-512
-  // vectors per accumulator lane at double), else the largest power of two
-  // dividing P, falling back to the dynamic kernel for odd/unaligned P.
-  const std::int64_t tile = (p % 16 == 0) ? 16 : (p % 8 == 0) ? 8
-                            : (p % 4 == 0)                    ? 4
-                                                              : 0;
-  // Deinterleave scratch; thread_local so repeated calls do not reallocate.
-  // Pointers are hoisted BEFORE the parallel region below (worker threads
-  // must see the caller's buffer, not their own empty thread_local copy).
-  thread_local std::vector<Real, AlignedAllocator<Real, 64>> split;
-  const Real* split_re = nullptr;
-  const Real* split_im = nullptr;
-  if (tile != 0) {
-    split.resize(static_cast<std::size_t>(2 * len));
-    const auto* raw = reinterpret_cast<const Real*>(local_in.data());
-    Real* in_re = split.data();
-    Real* in_im = split.data() + len;
-    for (std::int64_t i = 0; i < len; ++i) {
-      in_re[i] = raw[2 * i];
-      in_im[i] = raw[2 * i + 1];
-    }
-    split_re = in_re;
-    split_im = in_im;
-  }
-
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t q = q_begin; q < q_end; ++q) {
-    C* gout = out.data() + q * mu * p;
-    if (tile != 0) {
-      const Real* base_re = split_re + q * nu * p;
-      const Real* base_im = split_im + q * nu * p;
-      switch (tile) {
-        case 16:
-          conv_group_tiled<16, Real>(base_re, base_im, table, mu, b, p, gout);
-          break;
-        case 8:
-          conv_group_tiled<8, Real>(base_re, base_im, table, mu, b, p, gout);
-          break;
-        default:
-          conv_group_tiled<4, Real>(base_re, base_im, table, mu, b, p, gout);
-          break;
-      }
-    } else {
-      conv_group_dynamic<Real>(local_in.data() + q * nu * p, table, mu, b, p,
-                               gout);
-    }
-  }
+  SOI_CHECK(q_end <= g.groups_per_rank(),
+            "convolve_rank_groups: group range [" << q_begin << ", " << q_end
+                                                  << ") exceeds the rank's "
+                                                  << g.groups_per_rank()
+                                                  << " groups");
+  check_range(g, local_in.size(), out.size(), 0, g.groups_per_rank());
+  const auto len = static_cast<std::size_t>(g.local_input());
+  std::vector<Real, AlignedAllocator<Real, 64>> split(2 * len);
+  split_complex<Real>(local_in.first(len), split.data(), split.data() + len);
+  convolve_split_groups<Real>(
+      g, table, std::span<const Real>{split.data(), len},
+      std::span<const Real>{split.data() + len, len}, out, q_begin, q_end);
 }
 
 template <class Real>
@@ -242,41 +274,38 @@ void convolve_rank(const SoiGeometry& g, const ConvTableT<Real>& table,
   convolve_rank_groups<Real>(g, table, local_in, out, 0, g.groups_per_rank());
 }
 
-void convolve_rank_phased(const SoiGeometry& g, const ConvTable& table,
-                          cspan phases, cspan local_in, mspan out) {
-  check_buffers<double>(g, local_in, out);
-  SOI_CHECK(phases.size() == static_cast<std::size_t>(g.p()),
-            "convolve_rank_phased: need P phase factors");
-  // The phases depend only on pp = i mod P, so they fold into a phased
-  // copy of the tap table and the whole product runs through the tiled,
-  // OpenMP-parallel convolve_rank kernel instead of a scalar triple loop.
-  // Callers evaluating many ranks against ONE phase vector should hoist
-  // table.phased(phases) themselves (see SegmentPlan::compute).
-  const ConvTable shifted = table.phased(phases);
-  convolve_rank<double>(g, shifted, local_in, out);
+template <class Real>
+void split_complex(std::type_identity_t<cspan_t<Real>> src, Real* re,
+                   Real* im) {
+  const auto n = static_cast<std::int64_t>(src.size());
+  const auto* raw = reinterpret_cast<const Real*>(src.data());
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) if (n >= kParallelMinPoints)
+#endif
+  for (std::int64_t i = 0; i < n; ++i) {
+    re[i] = raw[2 * i];
+    im[i] = raw[2 * i + 1];
+  }
 }
 
 // Explicit instantiations (double drives the SOI pipeline; float backs the
 // single-precision transform).
-template void convolve_rank_reference<double>(const SoiGeometry&,
-                                              const ConvTableT<double>&,
-                                              cspan_t<double>, mspan_t<double>);
-template void convolve_rank_reference<float>(const SoiGeometry&,
-                                             const ConvTableT<float>&,
-                                             cspan_t<float>, mspan_t<float>);
-template void convolve_rank_groups<double>(const SoiGeometry&,
-                                           const ConvTableT<double>&,
-                                           cspan_t<double>, mspan_t<double>,
-                                           std::int64_t, std::int64_t);
-template void convolve_rank_groups<float>(const SoiGeometry&,
-                                          const ConvTableT<float>&,
-                                          cspan_t<float>, mspan_t<float>,
-                                          std::int64_t, std::int64_t);
-template void convolve_rank<double>(const SoiGeometry&,
-                                    const ConvTableT<double>&, cspan_t<double>,
-                                    mspan_t<double>);
-template void convolve_rank<float>(const SoiGeometry&,
-                                   const ConvTableT<float>&, cspan_t<float>,
-                                   mspan_t<float>);
+#define SOI_CONVOLVE_INSTANTIATE(Real)                                        \
+  template void convolve_rank_reference<Real>(                               \
+      const SoiGeometry&, const ConvTableT<Real>&, cspan_t<Real>,             \
+      mspan_t<Real>);                                                         \
+  template void convolve_split_groups<Real>(                                 \
+      const SoiGeometry&, const ConvTableT<Real>&, std::span<const Real>,     \
+      std::span<const Real>, mspan_t<Real>, std::int64_t, std::int64_t);      \
+  template void convolve_rank_groups<Real>(                                  \
+      const SoiGeometry&, const ConvTableT<Real>&, cspan_t<Real>,             \
+      mspan_t<Real>, std::int64_t, std::int64_t);                             \
+  template void convolve_rank<Real>(const SoiGeometry&,                      \
+                                    const ConvTableT<Real>&, cspan_t<Real>,   \
+                                    mspan_t<Real>);                           \
+  template void split_complex<Real>(cspan_t<Real>, Real*, Real*);
+SOI_CONVOLVE_INSTANTIATE(double)
+SOI_CONVOLVE_INSTANTIATE(float)
+#undef SOI_CONVOLVE_INSTANTIATE
 
 }  // namespace soi::core

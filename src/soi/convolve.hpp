@@ -6,15 +6,33 @@
 //   out[j_local*P + p] = sum_{b=0}^{B-1} E[r][b*P + p] * in[q*nu*P + b*P + p]
 //
 // `in` holds the rank's M points followed by the (B-nu)*P halo from the
-// right neighbour. Two implementations are provided: a reference triple
-// loop matching the paper's pseudo code, and the optimised kernel using the
-// paper's loop interchange (contiguous unit-stride inner loop over p,
-// vectorisable) with unroll-and-jam over the mu rows of a group.
+// right neighbour. For each lane p this is a small matrix product with
+// Hankel structure: every group q reads the same mu x B taps, shifted by
+// nu blocks of input per group.
+//
+// The optimised kernel reads split-complex (structure-of-arrays) input:
+// re[] and im[] as two contiguous arrays. It is a GEMM-style register
+// tile: the partial sums of all mu rows (in row blocks of at most five)
+// of G = 2 adjacent groups, over one SIMD vector of the P lanes, stay in
+// registers across the whole B-block reduction. Each table load then
+// feeds 2 groups and each input load feeds the block's rows, about 2.9
+// multiply-adds per load at mu = 5 (1.33 for a row pair of one group).
+// Every output is still summed block by block in ascending order as
+// acc += tr*xr - ti*xi, acc += tr*xi + ti*xr, so the bits do not depend
+// on the tile shape, on how a group range is cut, or on P's lane width.
+//
+// The SOI pipeline stages its input split once (HaloConvStage writes the
+// arena's `ext` buffer as re[] then im[]) and calls convolve_split_groups.
+// The interleaved convolve_rank / convolve_rank_groups overloads split
+// their input into a buffer they own and run the same kernel; tests,
+// perfbench and bench_fft_engine use them. A reference triple loop transcribes the paper's
+// pseudo code.
 //
 // All kernels are templated on the working precision (double and float
 // instantiations are compiled).
 #pragma once
 
+#include <span>
 #include <type_traits>
 
 #include "common/types.hpp"
@@ -31,54 +49,63 @@ void convolve_rank_reference(const SoiGeometry& g,
                              std::type_identity_t<cspan_t<Real>> local_in,
                              std::type_identity_t<mspan_t<Real>> out);
 
-/// Optimised kernel: loop interchange + unroll-and-jam + register-resident
-/// partial sums (Section 6's "standard optimizations"). Identical results
-/// (up to FP associativity) at several times the throughput.
+/// Pipeline kernel: convolve row groups [q_begin, q_end) from split-complex
+/// input (in_re[i] + i*in_im[i]). Group q reads in[q*nu*P, q*nu*P + B*P)
+/// and writes chunks [q*mu, (q+1)*mu) of `out`. A segment is
+/// groups_per_rank groups of M = groups_per_rank*nu*P points, so a rank's
+/// spr consecutive segments plus one halo are the single group range
+/// [0, spr * groups_per_rank): the pipeline convolves them in one call.
+/// The halo-overlap path runs the groups whose input is fully local while
+/// the halo is in flight, and the tail groups after it lands. Bit-identical
+/// to the interleaved overloads for every range cut.
 template <class Real>
-void convolve_rank(const SoiGeometry& g, const ConvTableT<Real>& table,
-                   std::type_identity_t<cspan_t<Real>> local_in,
-                   std::type_identity_t<mspan_t<Real>> out);
+void convolve_split_groups(const SoiGeometry& g, const ConvTableT<Real>& table,
+                           std::type_identity_t<std::span<const Real>> in_re,
+                           std::type_identity_t<std::span<const Real>> in_im,
+                           std::type_identity_t<mspan_t<Real>> out,
+                           std::int64_t q_begin, std::int64_t q_end);
 
-/// Convolve only row groups [q_begin, q_end) of the rank's block, writing
-/// chunks [q_begin*mu, q_end*mu). Used by the halo-overlap execution path:
-/// groups whose input range is fully local run while the halo is in
-/// flight; the tail groups run after it lands.
+/// Interleaved-input form of convolve_split_groups over one segment's
+/// groups (q_end <= groups_per_rank): splits `local_in` (M + halo points)
+/// into a buffer it owns, then runs the same kernel.
 template <class Real>
 void convolve_rank_groups(const SoiGeometry& g, const ConvTableT<Real>& table,
                           std::type_identity_t<cspan_t<Real>> local_in,
                           std::type_identity_t<mspan_t<Real>> out,
                           std::int64_t q_begin, std::int64_t q_end);
 
-/// Same as convolve_rank but with per-input-element phase factors applied
-/// on the fly — used by the segment (zoom) transform where C_s =
-/// C_0 (I_M (x) diag(omega^s)) adds the column phases omega^{s * (i mod P)}.
-/// `phases` has P entries. Double precision only (zoom path).
-void convolve_rank_phased(const SoiGeometry& g, const ConvTable& table,
-                          cspan phases, cspan local_in, mspan out);
+/// All groups of the rank: convolve_rank_groups over [0, groups_per_rank).
+template <class Real>
+void convolve_rank(const SoiGeometry& g, const ConvTableT<Real>& table,
+                   std::type_identity_t<cspan_t<Real>> local_in,
+                   std::type_identity_t<mspan_t<Real>> out);
 
-extern template void convolve_rank_reference<double>(const SoiGeometry&,
-                                                     const ConvTableT<double>&,
-                                                     cspan_t<double>,
-                                                     mspan_t<double>);
-extern template void convolve_rank_reference<float>(const SoiGeometry&,
-                                                    const ConvTableT<float>&,
-                                                    cspan_t<float>,
-                                                    mspan_t<float>);
-extern template void convolve_rank<double>(const SoiGeometry&,
-                                           const ConvTableT<double>&,
-                                           cspan_t<double>, mspan_t<double>);
-extern template void convolve_rank<float>(const SoiGeometry&,
-                                          const ConvTableT<float>&,
-                                          cspan_t<float>, mspan_t<float>);
-extern template void convolve_rank_groups<double>(const SoiGeometry&,
-                                                  const ConvTableT<double>&,
-                                                  cspan_t<double>,
-                                                  mspan_t<double>,
-                                                  std::int64_t, std::int64_t);
-extern template void convolve_rank_groups<float>(const SoiGeometry&,
-                                                 const ConvTableT<float>&,
-                                                 cspan_t<float>,
-                                                 mspan_t<float>, std::int64_t,
-                                                 std::int64_t);
+/// Memory passes over fewer points than this run on the calling thread:
+/// the serve lanes' small segments must not pay an OpenMP fork per call.
+inline constexpr std::int64_t kParallelMinPoints = std::int64_t{1} << 16;
+
+/// Deinterleave `src` into re[] and im[] in one pass, OpenMP-parallel from
+/// kParallelMinPoints points.
+template <class Real>
+void split_complex(std::type_identity_t<cspan_t<Real>> src, Real* re,
+                   Real* im);
+
+#define SOI_CONVOLVE_EXTERN(Real)                                             \
+  extern template void convolve_rank_reference<Real>(                        \
+      const SoiGeometry&, const ConvTableT<Real>&, cspan_t<Real>,             \
+      mspan_t<Real>);                                                         \
+  extern template void convolve_split_groups<Real>(                          \
+      const SoiGeometry&, const ConvTableT<Real>&, std::span<const Real>,     \
+      std::span<const Real>, mspan_t<Real>, std::int64_t, std::int64_t);      \
+  extern template void convolve_rank_groups<Real>(                           \
+      const SoiGeometry&, const ConvTableT<Real>&, cspan_t<Real>,             \
+      mspan_t<Real>, std::int64_t, std::int64_t);                             \
+  extern template void convolve_rank<Real>(                                  \
+      const SoiGeometry&, const ConvTableT<Real>&, cspan_t<Real>,             \
+      mspan_t<Real>);                                                         \
+  extern template void split_complex<Real>(cspan_t<Real>, Real*, Real*);
+SOI_CONVOLVE_EXTERN(double)
+SOI_CONVOLVE_EXTERN(float)
+#undef SOI_CONVOLVE_EXTERN
 
 }  // namespace soi::core

@@ -113,20 +113,6 @@ template class SoiFftSerialT<float>;
 
 // --- SegmentPlan -------------------------------------------------------------
 
-namespace {
-/// Extended copy of x: N elements plus `extra` wrapped-around leading
-/// elements, so every virtual rank's convolution reads contiguously.
-cvec extend_input(cspan x, std::int64_t extra) {
-  cvec ext(x.size() + static_cast<std::size_t>(extra));
-  std::copy(x.begin(), x.end(), ext.begin());
-  for (std::int64_t i = 0; i < extra; ++i) {
-    ext[x.size() + static_cast<std::size_t>(i)] =
-        x[static_cast<std::size_t>(i) % x.size()];
-  }
-  return ext;
-}
-}  // namespace
-
 SegmentPlan::SegmentPlan(std::int64_t n, std::int64_t p,
                          win::SoiProfile profile)
     : profile_(std::move(profile)),
@@ -160,14 +146,23 @@ void SegmentPlan::compute(cspan x, std::int64_t s, mspan y_seg) const {
   // table is built ONCE here and the loop runs the plain vectorised
   // kernel on it.
   const ConvTable shifted = table_.phased(phases);
-  const cvec ext = extend_input(x, geom_.halo());
+  // x split once and extended by one wrapped halo, so every virtual rank's
+  // convolution reads [vr*M, vr*M + M + halo) contiguously.
+  const auto halo = static_cast<std::size_t>(geom_.halo());
+  const std::size_t ext = x.size() + halo;
+  const auto local = static_cast<std::size_t>(geom_.local_input());
+  dvec split(2 * ext);
+  double* re = split.data();
+  double* im = split.data() + ext;
+  split_complex<double>(x, re, im);
+  split_complex<double>(x.first(halo), re + n, im + n);
   cvec partial(static_cast<std::size_t>(mc * p));
   cvec xt(static_cast<std::size_t>(mp));
   for (std::int64_t vr = 0; vr < p; ++vr) {
-    convolve_rank(geom_, shifted,
-                  cspan{ext.data() + vr * m,
-                        static_cast<std::size_t>(geom_.local_input())},
-                  partial);
+    convolve_split_groups<double>(
+        geom_, shifted, std::span<const double>{re + vr * m, local},
+        std::span<const double>{im + vr * m, local}, partial, 0,
+        geom_.groups_per_rank());
     for (std::int64_t j = 0; j < mc; ++j) {
       cplx acc{0.0, 0.0};
       const cplx* row = partial.data() + j * p;

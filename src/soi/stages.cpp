@@ -41,6 +41,39 @@ constexpr int kPhasePost = 0;  ///< stage input + nonblocking comm posts
 constexpr int kPhaseWait = 1;  ///< complete a posted operation
 constexpr int kPhaseWork = 2;  ///< compute kernel
 
+/// Demodulate + project `segs` segments: y[s*m + k] = uf[s*mprime + k] *
+/// demod[k] for k < m, parallel over segments. Both demod entry points
+/// (whole rank, one chunk group) run this one loop. The product is spelt
+/// out as (ac - bd, bc + ad) with one fused multiply-add per part: the
+/// bits GCC's double std::complex product has on an FMA target, whether or
+/// not the loop is outlined into an OpenMP region or vectorised. A pass
+/// below kParallelMinPoints stays on the calling thread.
+template <class Real>
+void demodulate(const ConvTableT<Real>& table, const cplx_t<Real>* uf,
+                std::int64_t mprime, cplx_t<Real>* y, std::int64_t m,
+                std::int64_t segs) {
+  const auto* __restrict w =
+      reinterpret_cast<const Real*>(table.demod().data());
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) if (segs * m >= kParallelMinPoints)
+#endif
+  for (std::int64_t s = 0; s < segs; ++s) {
+    const auto* __restrict src = reinterpret_cast<const Real*>(uf + s * mprime);
+    auto* __restrict dst = reinterpret_cast<Real*>(y + s * m);
+    for (std::int64_t k = 0; k < m; ++k) {
+      const Real a = src[2 * k], b = src[2 * k + 1];
+      const Real c = w[2 * k], d = w[2 * k + 1];
+#ifdef __FMA__
+      dst[2 * k] = std::fma(a, c, -(b * d));
+      dst[2 * k + 1] = std::fma(b, c, a * d);
+#else
+      dst[2 * k] = a * c - b * d;
+      dst[2 * k + 1] = b * c + a * d;
+#endif
+    }
+  }
+}
+
 /// Stages 1+2 of the per-rank pipeline: halo materialisation and the
 /// convolution W x. Emits "halo" and "conv". Node-driven: a post node
 /// stages the input (and isend/irecvs the halo when remote), a wait node
@@ -108,24 +141,23 @@ class HaloConvStageT final : public exec::StageT<Real> {
     const std::int64_t halo = g.halo();
     exec::StageRecord& rhalo = rec[0];
     exec::StageRecord& rconv = rec[1];
-    const std::span<C> ext = ctx.arena->template span<C>(env.ext);
+    const SplitExt ext = split_ext(ctx);
     const cspan_t<Real> x =
         env.src.valid()
             ? cspan_t<Real>(ctx.arena->template span<C>(env.src))
             : ctx.in;
 
     {
-      // Staging the owned block is part of materialising the conv input.
+      // Staging the owned block split is part of materialising the conv
+      // input: one pass, parallel over x.
       exec::StageTimer st(rconv);
-      std::copy(x.begin(), x.end(), ext.begin());
+      split_complex<Real>(x, ext.re, ext.im);
     }
 
     if (!remote()) {
       exec::StageTimer st(rhalo);
-      for (std::int64_t i = 0; i < halo; ++i) {
-        ext[static_cast<std::size_t>(m_rank + i)] =
-            x[static_cast<std::size_t>(i)];
-      }
+      split_complex<Real>(x.first(static_cast<std::size_t>(halo)),
+                          ext.re + m_rank, ext.im + m_rank);
       return;
     }
     SOI_CHECK(ctx.comm != nullptr,
@@ -136,8 +168,7 @@ class HaloConvStageT final : public exec::StageT<Real> {
       const int left = (rank - 1 + ranks) % ranks;
       const int right = (rank + 1) % ranks;
       const cspan halo_out{x.data(), static_cast<std::size_t>(halo)};
-      const mspan halo_in{ext.data() + m_rank,
-                          static_cast<std::size_t>(halo)};
+      const mspan halo_in = ctx.arena->template span<C>(env.halo);
       const auto inst = static_cast<std::size_t>(ctx.instance);
       // Each concurrent execution's halo travels on its own tag so two
       // co-scheduled transforms' halos never cross-match. Channels must
@@ -162,10 +193,19 @@ class HaloConvStageT final : public exec::StageT<Real> {
 
   void wait_halo(exec::ExecContextT<Real>& ctx,
                  exec::StageRecord* rec) const {
+    using C = cplx_t<Real>;
     const auto inst = static_cast<std::size_t>(ctx.instance);
-    exec::WaitTimer wt(rec[0]);
-    rec[0].retries += ctx.comm->wait(hrecv_[inst]);
-    rec[0].retries += ctx.comm->wait(hsend_[inst]);
+    {
+      exec::WaitTimer wt(rec[0]);
+      rec[0].retries += ctx.comm->wait(hrecv_[inst]);
+      rec[0].retries += ctx.comm->wait(hsend_[inst]);
+    }
+    // The halo landed interleaved; split it into the tail of ext.
+    exec::StageTimer st(rec[0]);
+    const SplitExt ext = split_ext(ctx);
+    const std::int64_t m_rank = env_->m_rank();
+    split_complex<Real>(ctx.arena->template span<C>(env_->halo),
+                        ext.re + m_rank, ext.im + m_rank);
   }
 
   void conv(exec::ExecContextT<Real>& ctx, exec::StageRecord* rec,
@@ -173,50 +213,48 @@ class HaloConvStageT final : public exec::StageT<Real> {
     using C = cplx_t<Real>;
     const ChainEnvT<Real>& env = *env_;
     const SoiGeometry& g = *env.geom;
-    const std::int64_t m_seg = g.m();
-    const std::int64_t mcg = g.chunks_per_rank();
     const std::int64_t p = g.p();
-    const std::span<C> ext = ctx.arena->template span<C>(env.ext);
-    const std::span<C> v = ctx.arena->template span<C>(env.v);
-
-    const auto convolve_range = [&](std::int64_t seg_begin,
-                                    std::int64_t seg_end) {
-      for (std::int64_t s = seg_begin; s < seg_end; ++s) {
-        convolve_rank<Real>(
-            g, *env.table,
-            cspan_t<Real>{ext.data() + s * m_seg,
-                          static_cast<std::size_t>(g.local_input())},
-            mspan_t<Real>{v.data() + s * mcg * p,
-                          static_cast<std::size_t>(mcg * p)});
-      }
-    };
-    const auto convolve_last_groups = [&](std::int64_t q_begin,
-                                          std::int64_t q_end) {
-      convolve_rank_groups<Real>(
-          g, *env.table,
-          cspan_t<Real>{ext.data() + (env.spr - 1) * m_seg,
-                        static_cast<std::size_t>(g.local_input())},
-          mspan_t<Real>{v.data() + (env.spr - 1) * mcg * p,
-                        static_cast<std::size_t>(mcg * p)},
-          q_begin, q_end);
+    const SplitExt ext = split_ext(ctx);
+    const auto len = static_cast<std::size_t>(env.m_rank() + g.halo());
+    // The rank's spr segments are one range of groups over ext (see
+    // convolve_split_groups).
+    const std::int64_t groups = env.spr * g.groups_per_rank();
+    const auto convolve_groups = [&](std::int64_t q_begin,
+                                     std::int64_t q_end) {
+      convolve_split_groups<Real>(g, *env.table,
+                                  std::span<const Real>{ext.re, len},
+                                  std::span<const Real>{ext.im, len},
+                                  ctx.arena->template span<C>(env.v), q_begin,
+                                  q_end);
     };
 
     exec::StageTimer st(rec[1]);
     if (!remote()) {
-      convolve_range(0, env.spr);
+      convolve_groups(0, groups);
       return;
     }
-    // Groups of the LAST sub-rank whose window fits in local data; all
-    // groups of earlier sub-ranks are always fully local (halo <= M_seg).
-    const std::int64_t groups = g.groups_per_rank();
+    // Groups whose window fits in local data: every group of the first
+    // spr-1 segments (halo <= M_seg) and the last segment's first q_safe.
     const std::int64_t q_safe = std::clamp<std::int64_t>(
-        (m_seg - g.taps() * p) / (g.nu() * p) + 1, 0, groups);
+        (g.m() - g.taps() * p) / (g.nu() * p) + 1, 0, g.groups_per_rank());
+    const std::int64_t q_local = groups - g.groups_per_rank() + q_safe;
     if (chunk == 0) {
-      convolve_range(0, env.spr - 1);
-      convolve_last_groups(0, q_safe);
+      convolve_groups(0, q_local);
     } else {
-      convolve_last_groups(q_safe, groups);
+      convolve_groups(q_local, groups);
     }
+  }
+
+  /// The arena's `ext` buffer as split-complex input: re[0, L) then
+  /// im[0, L), L = m_rank + halo (the same bytes as L interleaved points).
+  struct SplitExt {
+    Real* re;
+    Real* im;
+  };
+  [[nodiscard]] SplitExt split_ext(exec::ExecContextT<Real>& ctx) const {
+    const std::span<Real> raw = ctx.arena->template span<Real>(env_->ext);
+    const std::size_t len = raw.size() / 2;
+    return {raw.data(), raw.data() + len};
   }
 
   const ChainEnvT<Real>* env_;
@@ -1187,15 +1225,8 @@ class DemodStageT final : public exec::StageT<Real> {
     const mspan_t<Real> y =
         env.dst.valid() ? mspan_t<Real>(ctx.arena->template span<C>(env.dst))
                         : ctx.out;
-    const cspan_t<Real> demod = env.table->demod();
     exec::StageTimer st(*rec);
-    for (std::int64_t s = 0; s < env.spr; ++s) {
-      const C* seg = uf.data() + s * mprime;
-      C* dst = y.data() + s * m;
-      for (std::int64_t k = 0; k < m; ++k) {
-        dst[k] = seg[k] * demod[static_cast<std::size_t>(k)];
-      }
-    }
+    demodulate(*env.table, uf.data(), mprime, y.data(), m, env.spr);
   }
 
   void run_node(exec::ExecContextT<Real>& ctx, exec::StageRecord* rec,
@@ -1211,15 +1242,9 @@ class DemodStageT final : public exec::StageT<Real> {
     const mspan_t<Real> y =
         env.dst.valid() ? mspan_t<Real>(ctx.arena->template span<C>(env.dst))
                         : ctx.out;
-    const cspan_t<Real> demod = env.table->demod();
     exec::StageTimer st(*rec);
-    for (std::int64_t sl = 0; sl < gseg; ++sl) {
-      const C* seg = uf.data() + sl * mprime;
-      C* dst = y.data() + (node.chunk * gseg + sl) * m;
-      for (std::int64_t k = 0; k < m; ++k) {
-        dst[k] = seg[k] * demod[static_cast<std::size_t>(k)];
-      }
-    }
+    demodulate(*env.table, uf.data(), mprime, y.data() + node.chunk * gseg * m,
+               m, gseg);
   }
 
  private:
@@ -1313,6 +1338,9 @@ void reserve_chain_buffers(WorkspaceArena& arena, ChainEnvT<Real>& env,
   const std::int64_t chunks = env.chunks();
   const std::int64_t seg_total = env.spr * g.mprime();  // == chunks * P
   env.ext = arena.reserve("ext", cb(env.m_rank() + g.halo()), base, base);
+  if (env.has_comm && env.ranks > 1) {
+    env.halo = arena.reserve("halo", cb(g.halo()), base, base);
+  }
   env.v = arena.reserve("v", cb(chunks * g.p()), base, base + 1);
   if (env.has_comm && (env.chunk_depth > 1 || env.staged_exchange())) {
     // Chunked exchange: the pipelined schedule interleaves positions

@@ -93,12 +93,15 @@ struct ChainEnvT {
   /// be set BEFORE append_chain_stages().
   int max_instances = 1;
 
-  // Arena buffers, filled by reserve_chain_buffers(). With chunk_depth > 1
+  // Arena buffers, filled by reserve_chain_buffers(). ext holds the conv
+  // input split-complex (re[] then im[] over the rank's points plus the
+  // halo); halo (remote chains only) is where the neighbour's interleaved
+  // halo lands before it is split into ext's tail. With chunk_depth > 1
   // recv/xt/uf are the FIRST of nslots() group-sized slots (slot g mod
   // nslots serves chunk group g; WorkspaceArena::slot() addresses the
   // rest). stg (staged topology schedules only) holds the per-slot
   // pack + ping-pong holdings scratch of the store-and-forward exchange.
-  WorkspaceArena::BufferId ext, v, send, recv, xt, uf, stg;
+  WorkspaceArena::BufferId ext, halo, v, send, recv, xt, uf, stg;
   /// Coded-exchange scratch (coding.enabled() only): cframe holds the
   /// per-slot receive frames + decode scratch, cpack the send-side
   /// staging frames (parity shards, padded tail shard, one wire frame).

@@ -3,7 +3,11 @@
 // accuracy ladder, the segment (zoom) transform and the inverse.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -92,14 +96,14 @@ TEST(Convolve, PhasedWithUnitPhasesMatchesPlain) {
   cvec phased(plain.size());
   cvec ones(static_cast<std::size_t>(g.p()), cplx{1.0, 0.0});
   convolve_rank(g, table, in, plain);
-  convolve_rank_phased(g, table, ones, in, phased);
+  convolve_rank(g, table.phased(ones), in, phased);
   EXPECT_LT(rel_error(phased, plain), 1e-14);
 }
 
 TEST(Convolve, PhasedMatchesNaiveApplication) {
-  // convolve_rank_phased now folds the phases into a tap-table copy and
-  // runs the tiled kernel; check it against the direct per-element
-  // application the old scalar loop computed, with non-trivial phases.
+  // The segment transform folds the phases into a tap-table copy and runs
+  // the tiled kernel on it (SegmentPlan::compute); check that call pair
+  // against the direct per-element application, with non-trivial phases.
   const SoiGeometry g(4096, 4, medium_profile());
   ConvTable table(g, *medium_profile().window);
   const std::int64_t p = g.p();
@@ -110,7 +114,7 @@ TEST(Convolve, PhasedMatchesNaiveApplication) {
     phases[static_cast<std::size_t>(t)] = omega(3 * t, p);  // s = 3 column set
   }
   cvec got(static_cast<std::size_t>(g.chunks_per_rank() * p));
-  convolve_rank_phased(g, table, phases, in, got);
+  convolve_rank(g, table.phased(phases), in, got);
   // Naive reference: triple loop with the phase applied on the fly.
   cvec want(got.size());
   const std::int64_t b = g.taps();
@@ -141,6 +145,138 @@ TEST(Convolve, RejectsShortBuffers) {
   cvec out(static_cast<std::size_t>(g.chunks_per_rank() * g.p()));
   EXPECT_THROW(convolve_rank(g, table, in, out), Error);
 }
+
+// --- kernel shapes: lane widths x profiles x precisions ------------------------
+//
+// P = 3 runs the one-lane tile, P = 4 the serve lanes' width, P = 8 and 32
+// whole SIMD vectors; the four tiers have mu = 5, the Gaussian 8/7 profile
+// cuts its 8 rows into two row blocks. Each geometry has an odd group count
+// (25), so a 2-group tile is cut by some split point of check (b).
+
+struct KernelShape {
+  std::int64_t p;
+  int profile;  // 0..3: make_profile tiers kLow..kFull; 4: gaussian 8/7
+};
+
+const win::SoiProfile& shape_profile(int which) {
+  static const std::array<win::SoiProfile, 5> profiles = {
+      win::make_profile(win::Accuracy::kLow),
+      win::make_profile(win::Accuracy::kMedium),
+      win::make_profile(win::Accuracy::kHigh),
+      win::make_profile(win::Accuracy::kFull),
+      win::make_gaussian_profile(8, 7)};
+  return profiles[static_cast<std::size_t>(which)];
+}
+
+class ConvolveShapes : public ::testing::TestWithParam<KernelShape> {
+ protected:
+  /// M = nu * P * 25: 25 groups per rank, and a halo <= M for every tier.
+  [[nodiscard]] SoiGeometry geometry() const {
+    const win::SoiProfile& prof = shape_profile(GetParam().profile);
+    const std::int64_t p = GetParam().p;
+    return SoiGeometry(p * prof.nu * p * 25, p, prof);
+  }
+
+  /// Checks (a) split kernel == interleaved wrapper bit for bit, (b) every
+  /// cut [0, q) + [q, groups) == one full call bit for bit, (c) within
+  /// `tol` of the reference triple loop, (d) a range across two segments
+  /// == one call per segment bit for bit.
+  template <class Real>
+  void check(double tol) const {
+    using C = cplx_t<Real>;
+    const SoiGeometry g = geometry();
+    const ConvTableT<Real> table(g, *shape_profile(GetParam().profile).window);
+    const auto len = static_cast<std::size_t>(g.local_input());
+    const auto outn = static_cast<std::size_t>(g.chunks_per_rank() * g.p());
+    ASSERT_EQ(g.groups_per_rank(), 25);
+
+    cvec_t<Real> in(len);
+    std::vector<Real> re(len), im(len);
+    Rng rng(41 + static_cast<std::uint64_t>(GetParam().p));
+    for (std::size_t i = 0; i < len; ++i) {
+      re[i] = static_cast<Real>(rng.gaussian());
+      im[i] = static_cast<Real>(rng.gaussian());
+      in[i] = C{re[i], im[i]};
+    }
+    const auto bytes = outn * sizeof(C);
+
+    cvec_t<Real> full(outn);
+    convolve_rank<Real>(g, table, in, full);
+
+    cvec_t<Real> split(outn);
+    convolve_split_groups<Real>(g, table, re, im, split, 0,
+                                g.groups_per_rank());
+    EXPECT_EQ(std::memcmp(split.data(), full.data(), bytes), 0)
+        << "(a) split-input kernel differs from the interleaved wrapper";
+
+    for (std::int64_t q = 0; q <= g.groups_per_rank(); ++q) {
+      cvec_t<Real> cut(outn);
+      convolve_rank_groups<Real>(g, table, in, cut, 0, q);
+      convolve_rank_groups<Real>(g, table, in, cut, q, g.groups_per_rank());
+      EXPECT_EQ(std::memcmp(cut.data(), full.data(), bytes), 0)
+          << "(b) cut at q = " << q << " differs from one full call";
+    }
+
+    // (d) Two consecutive segments (2M points + one halo) are the single
+    // group range [0, 2 * groups) of the pipeline kernel.
+    const auto m = static_cast<std::size_t>(g.m());
+    std::vector<Real> re2(m + len), im2(m + len);
+    cvec_t<Real> in1(len);
+    for (std::size_t i = 0; i < m + len; ++i) {
+      re2[i] = static_cast<Real>(rng.gaussian());
+      im2[i] = static_cast<Real>(rng.gaussian());
+    }
+    cvec_t<Real> both(2 * outn), each(2 * outn);
+    convolve_split_groups<Real>(g, table, re2, im2, both, 0,
+                                2 * g.groups_per_rank());
+    for (std::size_t s = 0; s < 2; ++s) {
+      for (std::size_t i = 0; i < len; ++i) {
+        in1[i] = C{re2[s * m + i], im2[s * m + i]};
+      }
+      convolve_rank<Real>(g, table, in1,
+                          mspan_t<Real>{each.data() + s * outn, outn});
+    }
+    EXPECT_EQ(std::memcmp(both.data(), each.data(), 2 * bytes), 0)
+        << "(d) a two-segment range differs from per-segment calls";
+
+    cvec_t<Real> ref(outn);
+    convolve_rank_reference<Real>(g, table, in, ref);
+    double err = 0.0, den = 0.0;
+    for (std::size_t i = 0; i < outn; ++i) {
+      err += std::norm(cplx(full[i]) - cplx(ref[i]));
+      den += std::norm(cplx(ref[i]));
+    }
+    EXPECT_LT(std::sqrt(err / den), tol) << "(c) against the reference";
+  }
+};
+
+TEST_P(ConvolveShapes, DoubleKernelIsBitStableAndMatchesReference) {
+  check<double>(1e-14);
+}
+
+TEST_P(ConvolveShapes, FloatKernelIsBitStableAndMatchesReference) {
+  check<float>(1e-5);
+}
+
+std::vector<KernelShape> kernel_shapes() {
+  std::vector<KernelShape> shapes;
+  for (const std::int64_t p : {3, 4, 8, 32}) {
+    for (int prof = 0; prof < 5; ++prof) shapes.push_back({p, prof});
+  }
+  return shapes;
+}
+
+std::string kernel_shape_name(
+    const ::testing::TestParamInfo<KernelShape>& param) {
+  static const char* const kNames[] = {"low", "medium", "high", "full",
+                                       "gauss8over7"};
+  return "P" + std::to_string(param.param.p) + "_" +
+         kNames[param.param.profile];
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, ConvolveShapes,
+                         ::testing::ValuesIn(kernel_shapes()),
+                         kernel_shape_name);
 
 TEST(ConvTable, DemodStaysBounded) {
   const SoiGeometry g(4096, 4, full_profile());
