@@ -9,10 +9,10 @@
 //   serial_baseline — the SAME request trace executed one-at-a-time
 //     through SoiFftDist::forward() inside a sim rank-team world: the
 //     no-serving-layer reference the co-scheduled throughput must beat.
-//   serve_dist — the service's distributed backend co-schedules batches
-//     of up to K same-shape requests through forward_many(), every
-//     instance's exchange pieces posted on its own SimMPI channel before
-//     any instance blocks.
+//   serve_dist — the service's distributed backend co-schedules epochs
+//     of up to K same-shape requests through exec::run_epoch, every
+//     member's exchange pieces posted on its own SimMPI channel before
+//     any member blocks.
 //   serve_serial — the service's in-process worker-pool backend (strict
 //     p50/p99 + zero-allocation story without a rank team).
 //

@@ -68,7 +68,8 @@ run_tsan() {
   (cd build-ci/tsan &&
     ./tests/test_net --gtest_filter='Nonblocking.*:TryRecv.*' \
       | grep -q "PASSED" &&
-    ./tests/test_pipeline --gtest_filter='Pipeline.Chunked*:Pipeline.Reentrant*' \
+    ./tests/test_pipeline \
+      --gtest_filter='Pipeline.Chunked*:Pipeline.Reentrant*:Pipeline.CoScheduled*' \
       | grep -q "PASSED" &&
     ./tests/test_serve --gtest_filter='ServeDist.*:ServeSerial.*' \
       | grep -q "PASSED")
@@ -257,11 +258,11 @@ run_backends() {
 
 run_serve_mix() {
   echo "=== serve-mix: mixed-shape epoch scheduling under sanitizers ==="
-  # ASan: the epoch-packing scheduler and the cross-plan epoch executor.
-  # Mixed-shape composition, priority tiers, deadline shedding, budget
-  # throttling and the per-member fault-isolation gate all drive buffers
-  # (epoch scratch tables, per-member channel bindings) that the
-  # same-lane forward_many path never touches.
+  # ASan: the epoch-packing scheduler and the epoch executor that runs
+  # every pack, one lane or several. Mixed-shape composition, priority
+  # tiers, deadline shedding, budget throttling and the per-member
+  # fault-isolation gate drive the epoch scratch tables and per-member
+  # channel bindings that solo forward() exercises only at one member.
   cmake -B build-ci/asan -S . -DSOI_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build build-ci/asan -j "${jobs}" --target test_serve test_fault

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "common/error.hpp"
@@ -615,27 +613,9 @@ void TransformService::scheduler_main() {
       }
     }
     ring_size_ = kept;
+    cmd.type = CmdType::kEpoch;
     cmd.count = taken;
-    // Same-lane fast path: a uniform epoch needs no cross-plan graph
-    // composition — forward_many IS its merged schedule.
-    bool uniform = true;
-    for (int i = 1; i < taken; ++i) {
-      uniform = uniform && cmd.lanes[static_cast<std::size_t>(i)] ==
-                               cmd.lanes[0];
-    }
-    if (uniform) {
-      cmd.type = CmdType::kBatch;
-      cmd.lane = cmd.lanes[0];
-    } else {
-      cmd.type = CmdType::kEpoch;
-      cmd.lane = -1;
-    }
     ++batches_issued_;
-    if (std::getenv("SOI_SERVE_DEBUG") != nullptr) {
-      std::fprintf(stderr, "%s lane=%d count=%d ring=%zu cost=%.3fms\n",
-                   cmd.type == CmdType::kEpoch ? "epoch" : "batch", cmd.lane,
-                   cmd.count, ring_size_, packed * 1e3);
-    }
     append_command_locked(cmd);
   }
 }
@@ -643,10 +623,8 @@ void TransformService::scheduler_main() {
 void TransformService::rank_main(net::Transport& comm) {
   const int rank = comm.rank();
   std::array<std::unique_ptr<core::SoiFftDist>, kMaxLanes> plans;
-  std::array<cspan, net::kMaxChannels> xs;
-  std::array<mspan, net::kMaxChannels> ys;
-  // Rank-local composition scratch of the mixed-shape (kEpoch) path,
-  // (re)sized at kLane time so steady-state epochs never allocate.
+  // Rank-local epoch scratch, (re)sized at kLane time so steady-state
+  // epochs never allocate.
   exec::RunScratch escratch;
   // Rank-local coded-exchange snapshots (per lane): the plan's counters
   // are cumulative, so per-batch resilience attribution is the delta
@@ -702,98 +680,37 @@ void TransformService::rank_main(net::Transport& comm) {
           break;
         }
         case CmdType::kWarm: {
+          // The lane's max_concurrency instances as one epoch, so every
+          // per-instance state and request slot is touched.
           Lane& lane = lanes_[static_cast<std::size_t>(cmd.lane)];
           auto& plan = *plans[static_cast<std::size_t>(cmd.lane)];
           const std::int64_t local = plan.local_size();
           const int k = opts_.max_concurrency;
+          std::array<exec::EpochMemberT<double>, net::kMaxChannels>
+              members{};
           for (int i = 0; i < k; ++i) {
-            xs[static_cast<std::size_t>(i)] =
+            plan.bind_epoch_member(
+                members[static_cast<std::size_t>(i)], i, i,
                 cspan{lane.warm_in.data() + rank * local,
-                      static_cast<std::size_t>(local)};
-            ys[static_cast<std::size_t>(i)] =
+                      static_cast<std::size_t>(local)},
                 mspan{lane.warm_out.data() +
                           static_cast<std::int64_t>(i) * lane.spec.n +
                           rank * local,
-                      static_cast<std::size_t>(local)};
+                      static_cast<std::size_t>(local)});
           }
-          plan.forward_many(std::span<const cspan>(xs.data(),
-                                                   static_cast<std::size_t>(k)),
-                            std::span<const mspan>(
-                                ys.data(), static_cast<std::size_t>(k)));
+          exec::run_epoch(std::span<const exec::EpochMemberT<double>>(
+                              members.data(), static_cast<std::size_t>(k)),
+                          escratch);
+          plan.finish_epoch(k);
           comm.barrier();
           std::lock_guard<std::mutex> lk(mu_);
           ++cmd_acks_[cmd_idx];
           cv_done_.notify_all();
           break;
         }
-        case CmdType::kBatch: {
-          auto& plan = *plans[static_cast<std::size_t>(cmd.lane)];
-          const std::int64_t local = plan.local_size();
-          const auto cnt = static_cast<std::size_t>(cmd.count);
-          for (std::size_t i = 0; i < cnt; ++i) {
-            const RequestSlot& s =
-                slots_[static_cast<std::size_t>(cmd.slots[i])];
-            xs[i] = cspan{s.in.data() + rank * local,
-                          static_cast<std::size_t>(local)};
-            ys[i] = mspan{s.out.data() + rank * local,
-                          static_cast<std::size_t>(local)};
-          }
-          Timer bt;
-          std::exception_ptr err;
-          try {
-            plan.forward_many(std::span<const cspan>(xs.data(), cnt),
-                              std::span<const mspan>(ys.data(), cnt));
-          } catch (...) {
-            err = std::current_exception();
-          }
-          // No inter-batch barrier: a rendezvous between every batch
-          // convoys the ranks and costs O(ranks x scheduler latency) on
-          // an oversubscribed host. The transport matches messages FIFO
-          // per (src, dst, tag), so a fast rank may run ahead into the next
-          // batch while a slow rank drains this one — its sends queue
-          // behind the current batch's and match in order. Completion is
-          // a countdown instead: the LAST rank to finish observes that
-          // every rank has written its output block and retires the
-          // requests.
-          std::lock_guard<std::mutex> lk(mu_);
-          if (err && !cmd_errors_[cmd_idx]) cmd_errors_[cmd_idx] = err;
-          {
-            // Each rank folds its OWN resilience deltas (parity
-            // recoveries are receive-side, per-rank work) into the
-            // batch's tier: the tier of the batch's first request.
-            auto& pc = prev_coded[static_cast<std::size_t>(cmd.lane)];
-            const net::CodedStats cs = plan.coded_stats();
-            metrics_.note_resilience(
-                static_cast<int>(
-                    slots_[static_cast<std::size_t>(cmd.slots[0])].priority),
-                cs.recovered_chunks - pc.recovered_chunks,
-                cs.parity_bytes - pc.parity_bytes, plan.last_retries());
-            pc = cs;
-          }
-          if (++cmd_acks_[cmd_idx] == opts_.ranks) {
-            metrics_.note_busy(bt.seconds() * static_cast<double>(cnt));
-            ++batches_done_;
-            cv_work_.notify_all();  // unblocks the scheduler's flow control
-            const std::exception_ptr berr = cmd_errors_[cmd_idx];
-            for (std::size_t i = 0; i < cnt; ++i) {
-              double secs = 0.0;
-              double wait = 0.0;
-              if (!berr) {
-                for (const auto& r :
-                     plan.instance_trace(static_cast<int>(i)).records()) {
-                  secs += r.seconds;
-                  wait += r.wait_seconds;
-                }
-              }
-              finish_slot_locked(cmd.slots[i], berr, secs, wait);
-            }
-            cv_done_.notify_all();
-          }
-          break;
-        }
         case CmdType::kEpoch: {
-          // Mixed-shape epoch: compose every member's chunk graph into
-          // one merged schedule (exec::run_epoch). Member i rides
+          // Compose every member's chunk graph — one or several lanes —
+          // into one merged schedule (exec::run_epoch). Member i rides
           // collective channel i; instances of each plan are numbered in
           // epoch order, identically on every rank.
           const auto cnt = static_cast<std::size_t>(cmd.count);
@@ -810,13 +727,13 @@ void TransformService::rank_main(net::Transport& comm) {
               const std::int64_t local = plan.local_size();
               const RequestSlot& s =
                   slots_[static_cast<std::size_t>(cmd.slots[i])];
-              xs[i] = cspan{s.in.data() + rank * local,
-                            static_cast<std::size_t>(local)};
-              ys[i] = mspan{s.out.data() + rank * local,
-                            static_cast<std::size_t>(local)};
               inst_of[i] = per_lane[l]++;
-              plan.bind_epoch_member(members[i], inst_of[i],
-                                     static_cast<int>(i), xs[i], ys[i]);
+              plan.bind_epoch_member(
+                  members[i], inst_of[i], static_cast<int>(i),
+                  cspan{s.in.data() + rank * local,
+                        static_cast<std::size_t>(local)},
+                  mspan{s.out.data() + rank * local,
+                        static_cast<std::size_t>(local)});
               members[i].tier = static_cast<int>(s.priority);
             }
             exec::run_epoch(std::span<const exec::EpochMemberT<double>>(
@@ -831,13 +748,21 @@ void TransformService::rank_main(net::Transport& comm) {
           } catch (...) {
             err = std::current_exception();
           }
-          // Countdown retirement, exactly as kBatch: the LAST rank to
-          // finish retires every member.
+          // No inter-epoch barrier: a rendezvous between every epoch
+          // convoys the ranks and costs O(ranks x scheduler latency) on
+          // an oversubscribed host. The transport matches messages FIFO
+          // per (src, dst, tag), so a fast rank may run ahead into the next
+          // epoch while a slow rank drains this one — its sends queue
+          // behind the current epoch's and match in order. Completion is
+          // a countdown instead: the LAST rank to finish observes that
+          // every rank has written its output block and retires every
+          // member.
           std::lock_guard<std::mutex> lk(mu_);
           if (err && !cmd_errors_[cmd_idx]) cmd_errors_[cmd_idx] = err;
           {
-            // Epoch-granularity attribution, same as kBatch: each rank's
-            // deltas, credited to the epoch's first request's tier.
+            // Each rank folds its OWN resilience deltas (parity
+            // recoveries are receive-side, per-rank work) into the
+            // epoch's tier: the tier of the epoch's first request.
             const int tier0 = static_cast<int>(
                 slots_[static_cast<std::size_t>(cmd.slots[0])].priority);
             for (std::size_t l = 0; l < kMaxLanes; ++l) {
@@ -853,7 +778,7 @@ void TransformService::rank_main(net::Transport& comm) {
           if (++cmd_acks_[cmd_idx] == opts_.ranks) {
             metrics_.note_busy(bt.seconds() * static_cast<double>(cnt));
             ++batches_done_;
-            cv_work_.notify_all();
+            cv_work_.notify_all();  // unblocks the scheduler's flow control
             const std::exception_ptr berr = cmd_errors_[cmd_idx];
             for (std::size_t i = 0; i < cnt; ++i) {
               double secs = 0.0;

@@ -23,14 +23,12 @@
 //     team (any registered transport whose caps report threaded_world —
 //     the rank bodies share the service's address space) and a scheduler
 //     thread. The scheduler packs EPOCHS of up to max_concurrency
-//     requests in (priority tier, FIFO) order — mixed shapes are
-//     composed into one merged chunk graph via exec::run_epoch, each
+//     requests in (priority tier, FIFO) order, one lane or several, and
+//     every pack runs the same way: its members' chunk graphs are
+//     composed into one merged schedule via exec::run_epoch, each
 //     member's exchange pieces posting on its own tagged collective
-//     channel before any member blocks. When every packed request
-//     happens to share one lane the scheduler emits the same-lane fast
-//     path (SoiFftDist::forward_many) instead — identical schedule,
-//     no composition overhead. Requests carry the FULL N-point signal;
-//     rank r transforms the block subspan [r*N/R, (r+1)*N/R).
+//     channel before any member blocks. Requests carry the FULL N-point
+//     signal; rank r transforms the block subspan [r*N/R, (r+1)*N/R).
 //
 // Priority and deadlines: every request carries a tier (interactive <
 // batch < background) and an optional absolute deadline. The scheduler
@@ -117,7 +115,7 @@ struct LaneSpec {
 
 struct ServeOptions {
   /// 0 = in-process serial backend (worker pool); >= 2 = in-process rank
-  /// team co-scheduling batches through forward_many.
+  /// team co-scheduling epochs through exec::run_epoch.
   int ranks = 0;
   /// Distributed backend: registered transport name hosting the rank
   /// team ("" = net::default_transport()). The rank bodies read the
@@ -259,17 +257,19 @@ class TransformService {
     double cost_seconds = 0.0;
   };
 
-  enum class CmdType : std::uint8_t { kLane, kWarm, kBatch, kEpoch, kStop };
+  /// Rank-team commands: build a lane's plan, warm it up, run one epoch
+  /// of packed requests (the only execution command), or stop.
+  enum class CmdType : std::uint8_t { kLane, kWarm, kEpoch, kStop };
 
   /// One entry of the rank team's command log (distributed backend).
   /// Plain copyable value: rank bodies copy it out under the service
   /// mutex, so log growth never invalidates a reader.
   struct Command {
-    CmdType type = CmdType::kBatch;
-    std::int32_t lane = -1;  ///< kBatch/kLane/kWarm: the single lane
+    CmdType type = CmdType::kEpoch;
+    std::int32_t lane = -1;  ///< kLane/kWarm: the single lane
     std::int32_t count = 0;
     std::array<std::int32_t, net::kMaxChannels> slots{};
-    /// kEpoch: per-member lane ids (mixed shapes; member i rides
+    /// kEpoch: per-member lane ids (one lane or several; member i rides
     /// collective channel i).
     std::array<std::int32_t, net::kMaxChannels> lanes{};
   };
@@ -324,8 +324,8 @@ class TransformService {
   std::thread scheduler_;
   std::vector<Command> commands_;
   // Per-command completion countdowns: kLane/kWarm acks gate await_acks;
-  // a kBatch entry reaching `ranks` means every rank wrote its output
-  // block and the last rank retires the batch (no inter-batch barrier).
+  // a kEpoch entry reaching `ranks` means every rank wrote its output
+  // block and the last rank retires the epoch (no inter-epoch barrier).
   std::vector<int> cmd_acks_;
   std::vector<std::exception_ptr> cmd_errors_;
   std::int64_t batches_issued_ = 0;

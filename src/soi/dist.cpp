@@ -105,11 +105,9 @@ SoiFftDist::SoiFftDist(net::Transport& comm, std::int64_t n,
   state_.arena.commit();
   pipeline_.init_trace(state_.trace);
   pipeline_.bind_scratch(state_.scratch);
-  // Per-instance execution states for co-scheduling: instance i > 0 gets
-  // its own cloned-layout arena and trace; one merged-queue scratch sized
-  // for all instances. Everything forward_many touches exists now.
+  // Per-instance execution states for epochs: instance i > 0 gets its own
+  // cloned-layout arena and trace.
   const int kmax = opts_.max_concurrency;
-  pipeline_.bind_scratch(multi_scratch_, kmax);
   slots_.reserve(static_cast<std::size_t>(kmax - 1));
   for (int i = 1; i < kmax; ++i) {
     auto st = std::make_unique<exec::ExecState>();
@@ -117,8 +115,7 @@ SoiFftDist::SoiFftDist(net::Transport& comm, std::int64_t n,
     st->trace = state_.trace;
     slots_.push_back(std::move(st));
   }
-  many_ctx_.resize(static_cast<std::size_t>(kmax));
-  many_ptrs_.resize(static_cast<std::size_t>(kmax));
+  ctxs_.resize(static_cast<std::size_t>(kmax));
   guard_energies_.resize(2 * static_cast<std::size_t>(kmax));
   epoch_xs_.resize(static_cast<std::size_t>(kmax));
   epoch_ys_.resize(static_cast<std::size_t>(kmax));
@@ -139,124 +136,11 @@ SoiFftDist::SoiFftDist(net::Transport& comm, std::int64_t n,
 }
 
 void SoiFftDist::forward(cspan x_local, mspan y_local) {
-  run_pipeline(x_local, y_local, opts_.overlap);
-}
-
-void SoiFftDist::forward_overlapped(cspan x_local, mspan y_local) {
-  run_pipeline(x_local, y_local, /*overlap=*/true);
-}
-
-void SoiFftDist::run_pipeline(cspan x_local, mspan y_local, bool overlap) {
-  const std::int64_t m_rank = spr_ * geom_.m();  // points per rank
-  SOI_CHECK(x_local.size() == static_cast<std::size_t>(m_rank),
-            "SoiFftDist::forward: rank " << comm_.rank() << " expects "
-                                         << m_rank << " local points, got "
-                                         << x_local.size());
-  SOI_CHECK(y_local.size() >= static_cast<std::size_t>(m_rank),
-            "SoiFftDist::forward: local output too small");
-  bool validate = opts_.validate_input > 0;
-#ifndef NDEBUG
-  if (opts_.validate_input < 0) validate = true;
-#endif
-  if (validate) {
-    const std::int64_t bad = first_nonfinite<double>(x_local);
-    if (bad >= 0) {
-      std::ostringstream os;
-      os << "SoiFftDist::forward: rank " << comm_.rank()
-         << " input contains a non-finite value (NaN/Inf) at local index "
-         << bad;
-      throw InvalidArgumentError(os.str());
-    }
-  }
-  exec::ExecContextT<double> ctx;
-  ctx.in = x_local;
-  ctx.out = y_local;
-  ctx.comm = &comm_;
-  // Graceful degradation: once a run needed communication retries, give
-  // up the overlapped schedule and run in order (same nodes and edges, so
-  // results stay bit-identical).
-  ctx.overlap = overlap && !degraded_;
-  ctx.arena = &state_.arena;
-  ctx.trace = &state_.trace;
-  ctx.scratch = &state_.scratch;
-  pipeline_.run(ctx);
-  breakdown_ = SoiDistBreakdown::from_trace(state_.trace);
-  last_retries_ = 0;
-  for (const auto& r : state_.trace.records()) last_retries_ += r.retries;
-  if (last_retries_ > 0) degraded_ = true;
-
-  const cspan xs1[1] = {x_local};
-  const mspan ys1[1] = {y_local};
-  guard_outputs(std::span<const cspan>(xs1, 1),
-                std::span<const mspan>(ys1, 1));
-}
-
-void SoiFftDist::forward_many(std::span<const cspan> xs_local,
-                              std::span<const mspan> ys_local) {
-  const auto k = xs_local.size();
-  const std::int64_t m_rank = local_size();
-  SOI_CHECK(k >= 1 && k == ys_local.size(),
-            "SoiFftDist::forward_many: " << k << " inputs, "
-                                         << ys_local.size() << " outputs");
-  SOI_CHECK(k <= static_cast<std::size_t>(opts_.max_concurrency),
-            "SoiFftDist::forward_many: " << k
-                                         << " transforms exceed "
-                                            "max_concurrency "
-                                         << opts_.max_concurrency);
-  bool validate = opts_.validate_input > 0;
-#ifndef NDEBUG
-  if (opts_.validate_input < 0) validate = true;
-#endif
-  for (std::size_t i = 0; i < k; ++i) {
-    SOI_CHECK(xs_local[i].size() == static_cast<std::size_t>(m_rank),
-              "SoiFftDist::forward_many: transform "
-                  << i << " expects " << m_rank << " local points, got "
-                  << xs_local[i].size());
-    SOI_CHECK(ys_local[i].size() >= static_cast<std::size_t>(m_rank),
-              "SoiFftDist::forward_many: transform " << i
-                                                     << " output too small");
-    if (validate) {
-      const std::int64_t bad = first_nonfinite<double>(xs_local[i]);
-      if (bad >= 0) {
-        std::ostringstream os;
-        os << "SoiFftDist::forward_many: rank " << comm_.rank()
-           << " transform " << i
-           << " input contains a non-finite value (NaN/Inf) at local index "
-           << bad;
-        throw InvalidArgumentError(os.str());
-      }
-    }
-  }
-
-  // Degradation is plan-global: one retry-afflicted run drops EVERY
-  // instance to the in-order schedule (same graph, bit-identical output).
-  const bool overlap = opts_.overlap && !degraded_;
-  for (std::size_t i = 0; i < k; ++i) {
-    exec::ExecContextT<double>& ctx = many_ctx_[i];
-    ctx = exec::ExecContextT<double>{};
-    ctx.in = xs_local[i];
-    ctx.out = ys_local[i];
-    ctx.comm = &comm_;
-    ctx.overlap = overlap;
-    ctx.arena = i == 0 ? &state_.arena : &slots_[i - 1]->arena;
-    ctx.trace = i == 0 ? &state_.trace : &slots_[i - 1]->trace;
-    ctx.instance = static_cast<int>(i);
-    ctx.channel = static_cast<int>(i);
-    many_ptrs_[i] = &ctx;
-  }
-  pipeline_.run_many(
-      std::span<exec::ExecContextT<double>* const>(many_ptrs_.data(), k),
-      multi_scratch_);
-  breakdown_ = SoiDistBreakdown::from_trace(state_.trace);
-  last_retries_ = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    for (const auto& r : many_ctx_[i].trace->records()) {
-      last_retries_ += r.retries;
-    }
-  }
-  if (last_retries_ > 0) degraded_ = true;
-
-  guard_outputs(xs_local, ys_local);
+  exec::EpochMemberT<double> solo;
+  bind_epoch_member(solo, 0, 0, x_local, y_local);
+  exec::run_epoch(std::span<const exec::EpochMemberT<double>>(&solo, 1),
+                  state_.scratch);
+  finish_epoch(1);
 }
 
 void SoiFftDist::bind_epoch_member(exec::EpochMemberT<double>& member,
@@ -273,12 +157,12 @@ void SoiFftDist::bind_epoch_member(exec::EpochMemberT<double>& member,
                 << comm_.caps().max_coll_channels << ") (transport '"
                 << comm_.caps().name << "')");
   SOI_CHECK(x_local.size() == static_cast<std::size_t>(m_rank),
-            "SoiFftDist::bind_epoch_member: instance "
-                << instance << " expects " << m_rank
-                << " local points, got " << x_local.size());
+            "SoiFftDist: rank " << comm_.rank() << " instance " << instance
+                                << " expects " << m_rank
+                                << " local points, got " << x_local.size());
   SOI_CHECK(y_local.size() >= static_cast<std::size_t>(m_rank),
-            "SoiFftDist::bind_epoch_member: instance " << instance
-                                                       << " output too small");
+            "SoiFftDist: rank " << comm_.rank() << " instance " << instance
+                                << " local output too small");
   bool validate = opts_.validate_input > 0;
 #ifndef NDEBUG
   if (opts_.validate_input < 0) validate = true;
@@ -287,21 +171,22 @@ void SoiFftDist::bind_epoch_member(exec::EpochMemberT<double>& member,
     const std::int64_t bad = first_nonfinite<double>(x_local);
     if (bad >= 0) {
       std::ostringstream os;
-      os << "SoiFftDist::bind_epoch_member: rank " << comm_.rank()
-         << " instance " << instance
+      os << "SoiFftDist: rank " << comm_.rank() << " instance " << instance
          << " input contains a non-finite value (NaN/Inf) at local index "
          << bad;
       throw InvalidArgumentError(os.str());
     }
   }
   const auto i = static_cast<std::size_t>(instance);
-  exec::ExecContextT<double>& ctx = many_ctx_[i];
+  exec::ExecContextT<double>& ctx = ctxs_[i];
   ctx = exec::ExecContextT<double>{};
   ctx.in = x_local;
   ctx.out = y_local;
   ctx.comm = &comm_;
-  // Degradation is plan-global, exactly as in forward_many: once a run of
-  // this plan needed retries, all its epoch memberships run in order.
+  // Graceful degradation, plan-global: once a run of this plan needed
+  // communication retries, every later member of it gives up the
+  // overlapped schedule and runs in order (same nodes and edges, so
+  // results stay bit-identical).
   ctx.overlap = opts_.overlap && !degraded_;
   ctx.arena = i == 0 ? &state_.arena : &slots_[i - 1]->arena;
   ctx.trace = i == 0 ? &state_.trace : &slots_[i - 1]->trace;
@@ -321,7 +206,7 @@ void SoiFftDist::finish_epoch(int k) {
   last_retries_ = 0;
   for (int i = 0; i < k; ++i) {
     for (const auto& r :
-         many_ctx_[static_cast<std::size_t>(i)].trace->records()) {
+         ctxs_[static_cast<std::size_t>(i)].trace->records()) {
       last_retries_ += r.retries;
     }
   }

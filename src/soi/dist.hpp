@@ -45,7 +45,13 @@ struct DistOptions {
   std::int64_t segments_per_rank = 1;
   /// Message schedule of the single global exchange.
   net::AlltoallAlgo alltoall_algo = net::AlltoallAlgo::kPairwise;
-  /// When true, forward() uses the halo-overlapped pipeline by default.
+  /// Run the pipelined dataflow schedule: the halo isend/irecv overlaps
+  /// the halo-independent convolution groups (generalising the
+  /// overlapping technique of the paper's reference [11]), and with
+  /// chunk_depth > 1 each chunk group's all-to-all piece is in flight
+  /// while the previous group's f_mprime/demod computes. Same nodes, same
+  /// dependency edges, different schedule — results are bit-identical to
+  /// overlap = false.
   bool overlap = false;
   /// Transforms per SoA pass of the batched FFT stages (fft/batch.hpp);
   /// 0 derives the width from the detected SIMD tier. Autotuner knob.
@@ -93,11 +99,11 @@ struct DistOptions {
   /// Release), 0 = off, 1 = on. Violations throw
   /// soi::InvalidArgumentError before any communication happens.
   int validate_input = -1;
-  /// Independent transforms forward_many() may co-schedule per call (the
-  /// serving layer's batch width). Sizes the per-instance execution
-  /// states, request slots and transport collective channels at plan
-  /// time; must not exceed the transport's caps().max_coll_channels. 1 =
-  /// solo execution only.
+  /// Instances of this plan one epoch may hold (bind_epoch_member's
+  /// `instance` < max_concurrency; the serving layer's batch width).
+  /// Sizes the per-instance execution states, request slots and transport
+  /// collective channels at plan time; must not exceed the transport's
+  /// caps().max_coll_channels. 1 = solo execution only.
   int max_concurrency = 1;
   /// Forward-error-correct the exchange ("k+r", the code= knob): each
   /// peer message travels as k data + r parity shards and the receiver
@@ -127,47 +133,28 @@ class SoiFftDist {
   [[nodiscard]] std::int64_t local_size() const { return spr_ * geom_.m(); }
 
   /// Forward transform of the block-distributed signal. `x_local` and
-  /// `y_local` are this rank's local_size() input/output points. Runs the
-  /// pipelined (overlapping) schedule when options().overlap is set
-  /// (bit-identical results either way).
+  /// `y_local` are this rank's local_size() input/output points. A
+  /// one-member epoch: bind_epoch_member(instance 0, channel 0),
+  /// exec::run_epoch, finish_epoch(1). Runs the pipelined schedule when
+  /// options().overlap is set (bit-identical results either way).
   void forward(cspan x_local, mspan y_local);
-
-  /// Forward transform under the pipelined dataflow schedule: the halo
-  /// isend/irecv overlaps the halo-independent convolution groups
-  /// (generalising the overlapping technique of the paper's reference
-  /// [11]), and with chunk_depth > 1 each chunk group's all-to-all piece
-  /// is in flight while the previous group's f_mprime/demod computes.
-  /// Same nodes, same dependency edges, different schedule — results are
-  /// bit-identical to forward().
-  void forward_overlapped(cspan x_local, mspan y_local);
 
   /// Effective chunk depth after clamping to a divisor of
   /// segments_per_rank.
   [[nodiscard]] std::int64_t chunk_depth() const { return env_.chunk_depth; }
 
-  /// Co-scheduled forward of K <= options().max_concurrency independent
-  /// block-distributed transforms in ONE deterministic interleaved
-  /// schedule: every instance's exchange pieces post before any instance
-  /// blocks, so waits mostly find their data already delivered — the
-  /// multi-tenant throughput path. Collective: every rank must call with
-  /// the same K, instance i's buffers on every rank belonging to the same
-  /// logical transform (instance i travels on collective channel i). Each
-  /// instance's output is bit-identical to a solo forward() of the same
-  /// input; zero steady-state allocations on the SOI side (the simulated
-  /// transport's per-message buffering is outside that guarantee).
-  void forward_many(std::span<const cspan> xs_local,
-                    std::span<const mspan> ys_local);
-
   /// Inverse transform (scaled by 1/N) via the conjugation identity —
   /// same block layout, same single all-to-all.
   void inverse(cspan y_local, mspan x_local);
 
-  /// --- cross-plan epoch membership (exec::run_epoch) -------------------
+  /// --- epoch membership (exec::run_epoch) ------------------------------
   ///
-  /// forward_many co-schedules K instances of ONE shape; an epoch
-  /// composes members of SEVERAL SoiFftDist plans (mixed shapes) sharing
-  /// one transport into a single merged schedule. Protocol, per epoch and
-  /// identical on every rank:
+  /// An epoch composes members of one or SEVERAL SoiFftDist plans (up to
+  /// max_concurrency instances each, mixed shapes welcome) sharing one
+  /// transport into a single merged schedule: every member's exchange
+  /// pieces post before any member blocks, so waits mostly find their
+  /// data already delivered — the multi-tenant throughput path. Protocol,
+  /// per epoch and identical on every rank:
   ///   1. bind_epoch_member() once per member, instances of each plan
   ///      numbered 0..k-1 in epoch order, channels globally unique across
   ///      the whole epoch (< caps().max_coll_channels);
@@ -183,7 +170,7 @@ class SoiFftDist {
                          int channel, cspan x_local, mspan y_local);
 
   /// Fold trace/degradation bookkeeping and run the output acceptance
-  /// guard over the `k` members bound since the last finish_epoch().
+  /// guard over instances 0..k-1 bound since the last finish_epoch().
   void finish_epoch(int k);
 
   /// Nodes in this plan's finalised chunk graph (sizes epoch scratch).
@@ -191,8 +178,8 @@ class SoiFftDist {
     return pipeline_.node_count();
   }
 
-  /// Timing/volume breakdown of the most recent forward() call — a view
-  /// over the per-stage trace.
+  /// Timing/volume breakdown of the most recent execution's instance 0 —
+  /// a view over its per-stage trace.
   [[nodiscard]] const SoiDistBreakdown& last_breakdown() const {
     return breakdown_;
   }
@@ -201,9 +188,9 @@ class SoiFftDist {
   [[nodiscard]] const exec::TraceLog& last_trace() const {
     return state_.trace;
   }
-  /// Trace of co-scheduled instance `i` from the most recent
-  /// forward_many() (instance 0 is last_trace()). The serving layer reads
-  /// per-tenant overlap efficiency from these.
+  /// Trace of epoch instance `i` from the most recent execution (instance
+  /// 0 is last_trace()). The serving layer reads per-tenant overlap
+  /// efficiency from these.
   [[nodiscard]] const exec::TraceLog& instance_trace(int i) const {
     return i == 0 ? state_.trace
                   : slots_[static_cast<std::size_t>(i - 1)]->trace;
@@ -229,7 +216,6 @@ class SoiFftDist {
   }
 
  private:
-  void run_pipeline(cspan x_local, mspan y_local, bool overlap);
   void guard_outputs(std::span<const cspan> xs, std::span<const mspan> ys);
 
   net::Transport& comm_;
@@ -244,16 +230,15 @@ class SoiFftDist {
   exec::PipelineT<double> pipeline_;
   exec::ExecState state_;
   SoiDistBreakdown breakdown_;
-  // Co-scheduling state (max_concurrency > 1): instance i > 0 executes on
-  // slots_[i-1] (cloned arena layout + trace); instance 0 reuses state_.
-  // All preallocated at construction so forward_many allocates nothing.
+  // Per-instance epoch state: instance i > 0 executes on slots_[i-1]
+  // (cloned arena layout + trace); instance 0 reuses state_, whose
+  // scratch drives forward()'s one-member epochs. The buffers bound per
+  // instance let finish_epoch run the guard without the caller
+  // re-passing them. All preallocated at construction so the steady state
+  // allocates nothing.
   std::vector<std::unique_ptr<exec::ExecState>> slots_;
-  exec::RunScratch multi_scratch_;
-  std::vector<exec::ExecContextT<double>> many_ctx_;
-  std::vector<exec::ExecContextT<double>*> many_ptrs_;
+  std::vector<exec::ExecContextT<double>> ctxs_;
   std::vector<double> guard_energies_;  // 2 per instance (in, out)
-  // Epoch membership bookkeeping: the buffers bound per instance, so
-  // finish_epoch can run the guard without the caller re-passing them.
   std::vector<cspan> epoch_xs_;
   std::vector<mspan> epoch_ys_;
   bool degraded_ = false;

@@ -140,19 +140,13 @@ void PipelineT<Real>::finalize_graph() {
   }
 
   finalized_ = true;
-  bind_scratch(scratch_, 1);
+  bind_scratch(scratch_);
 }
 
 template <class Real>
-void PipelineT<Real>::bind_scratch(RunScratch& s, int instances) const {
+void PipelineT<Real>::bind_scratch(RunScratch& s) const {
   SOI_CHECK(finalized_, "Pipeline::bind_scratch: init_trace() not called");
-  SOI_CHECK(instances >= 1, "Pipeline::bind_scratch: need >= 1 instance");
-  const std::size_t total =
-      static_cast<std::size_t>(instances) * nodes_.size();
-  s.indegree.assign(total, 0);
-  s.heap.clear();
-  s.heap.reserve(total);
-  s.capacity = total;
+  bind_epoch_scratch(s, nodes_.size(), 1);
 }
 
 template <class Real>
@@ -170,128 +164,9 @@ void PipelineT<Real>::init_trace(TraceLog& trace) {
 
 template <class Real>
 void PipelineT<Real>::run(ExecContextT<Real>& ctx) const {
-  ExecContextT<Real>* one[1] = {&ctx};
-  execute(std::span<ExecContextT<Real>* const>(one, 1),
-          ctx.scratch != nullptr ? *ctx.scratch : scratch_);
-}
-
-template <class Real>
-void PipelineT<Real>::run_many(std::span<ExecContextT<Real>* const> ctxs,
-                               RunScratch& scratch) const {
-  execute(ctxs, scratch);
-}
-
-template <class Real>
-void PipelineT<Real>::execute(std::span<ExecContextT<Real>* const> ctxs,
-                              RunScratch& scratch) const {
-  SOI_CHECK(!ctxs.empty(), "Pipeline::run: no execution contexts");
-  SOI_CHECK(rec_offset_.size() == stages_.size() && finalized_,
-            "Pipeline::run: init_trace() not called after the last "
-            "add()/add_node()/add_edge()");
-  for (const auto* ctx : ctxs) {
-    SOI_CHECK(ctx != nullptr && ctx->arena != nullptr &&
-                  ctx->trace != nullptr,
-              "Pipeline::run: context missing arena/trace");
-  }
-  const int k = static_cast<int>(ctxs.size());
-  const int nn = static_cast<int>(nodes_.size());
-  const std::size_t total = static_cast<std::size_t>(k) * nodes_.size();
-  SOI_CHECK(scratch.capacity >= total,
-            "Pipeline::run: scratch bound for "
-                << scratch.capacity << " node slots, need " << total
-                << " (bind_scratch with enough instances)");
-
-  // Reentrancy guard: an execution owns its scratch (and the contexts'
-  // arenas/traces) exclusively. Racing on one scratch is corruption, not
-  // parallelism — concurrent executions bind their own (ExecState).
-  bool expected = false;
-  SOI_CHECK(scratch.running.compare_exchange_strong(expected, true),
-            "Pipeline::run: concurrent execution on one scratch/state "
-            "(share the plan, not the execution state)");
-  struct Release {
-    std::atomic<bool>& flag;
-    ~Release() { flag.store(false); }
-  } release{scratch.running};
-
-  for (auto* ctx : ctxs) ctx->trace->zero_seconds();
-
-  // Merged ready-queue over k instances of the graph: global node id
-  // gv = instance * nn + v. Each instance's schedule key set follows its
-  // own context's overlap flag. Single-instance runs order READY nodes by
-  // smallest key (ties by node id). Co-scheduled runs order by the
-  // many_phase class first: phase-0 nodes (communication posts) run as
-  // soon as they are ready so every instance's traffic is on the wire
-  // before any instance blocks, and phase-1/2 nodes run depth-first per
-  // instance — (phase, instance, key) — so each instance's working set
-  // streams through the cache instead of k instances interleaving
-  // stage-major. All orders are pure functions of the node table, so
-  // every rank co-scheduling the same instances posts identically.
-  auto key = [&](int gv) {
-    const auto& n = nodes_[static_cast<std::size_t>(gv % nn)];
-    return ctxs[static_cast<std::size_t>(gv / nn)]->overlap ? n.ovl_key
-                                                            : n.seq_key;
-  };
-  auto priority = [&](int gv) -> std::int64_t {
-    if (k == 1) return key(gv);
-    const auto& n = nodes_[static_cast<std::size_t>(gv % nn)];
-    const std::int64_t inst = gv / nn;
-    const std::int64_t within =
-        n.many_phase == 0
-            ? static_cast<std::int64_t>(key(gv)) * k + inst
-            : inst * 1000000 + key(gv);
-    return (static_cast<std::int64_t>(n.many_phase) << 40) + within;
-  };
-  auto later = [&](int a, int b) {
-    const std::int64_t ra = priority(a);
-    const std::int64_t rb = priority(b);
-    return ra != rb ? ra > rb : a > b;
-  };
-
-  auto& indegree = scratch.indegree;
-  auto& heap = scratch.heap;
-  for (int i = 0; i < k; ++i) {
-    std::copy(indegree0_.begin(), indegree0_.end(),
-              indegree.begin() + static_cast<std::ptrdiff_t>(i) * nn);
-  }
-  heap.clear();
-  for (std::size_t gv = 0; gv < total; ++gv) {
-    if (indegree[gv] == 0) {
-      heap.push_back(static_cast<int>(gv));
-      std::push_heap(heap.begin(), heap.end(), later);
-    }
-  }
-
-  std::size_t executed = 0;
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const int gv = heap.back();
-    heap.pop_back();
-    const int v = gv % nn;
-    ExecContextT<Real>& ctx = *ctxs[static_cast<std::size_t>(gv / nn)];
-    const auto& node = nodes_[static_cast<std::size_t>(v)];
-    StageRecord* rec =
-        ctx.trace->at(rec_offset_[static_cast<std::size_t>(node.stage)] +
-                      static_cast<std::size_t>(node.rec));
-    StageT<Real>& stage = *stages_[static_cast<std::size_t>(node.stage)];
-    if (node.is_auto) {
-      stage.run(ctx, rec);
-    } else {
-      stage.run_node(ctx, rec, node);
-    }
-    ++executed;
-    const int base = gv - v;  // this instance's node-id offset
-    for (int e = succ_off_[static_cast<std::size_t>(v)];
-         e < succ_off_[static_cast<std::size_t>(v) + 1]; ++e) {
-      const int gu = base + succ_[static_cast<std::size_t>(e)];
-      if (--indegree[static_cast<std::size_t>(gu)] == 0) {
-        heap.push_back(gu);
-        std::push_heap(heap.begin(), heap.end(), later);
-      }
-    }
-  }
-  SOI_CHECK(executed == total,
-            "Pipeline::run: scheduled " << executed << " of " << total
-                                        << " nodes");
+  const EpochMemberT<Real> solo{this, &ctx, 0};
+  run_epoch(std::span<const EpochMemberT<Real>>(&solo, 1),
+            ctx.scratch != nullptr ? *ctx.scratch : scratch_);
 }
 
 template class PipelineT<double>;
@@ -361,9 +236,13 @@ void run_epoch(std::span<const EpochMemberT<Real>> members,
                 << scratch.capacity << " node slots, need " << total
                 << " (bind_epoch_scratch with enough nodes)");
 
+  // Reentrancy guard: an execution owns its scratch (and the members'
+  // arenas/traces) exclusively. Racing on one scratch is corruption, not
+  // parallelism — concurrent executions bind their own (ExecState).
   bool expected = false;
   SOI_CHECK(scratch.running.compare_exchange_strong(expected, true),
-            "run_epoch: concurrent execution on one scratch");
+            "run_epoch: concurrent execution on one scratch/state "
+            "(share the plan, not the execution state)");
   struct Release {
     std::atomic<bool>& flag;
     ~Release() { flag.store(false); }
@@ -391,21 +270,24 @@ void run_epoch(std::span<const EpochMemberT<Real>> members,
     members[static_cast<std::size_t>(i)].ctx->trace->zero_seconds();
   }
 
-  // Merged ready-queue over the composed graph. Ordering mirrors
-  // run_many's (phase << 40) + within scheme, generalised to
-  // heterogeneous members: phase-0 nodes (communication posts) order by
-  // (key, member) so every member's traffic is on the wire before any
-  // member blocks; phase-1/2 nodes run depth-first per member, members
-  // ordered by (tier, index) — an interactive member's wait..demod tail
-  // preempts a background member's whenever both are ready. All terms are
-  // pure functions of the member table, so every rank composing the same
-  // epoch posts communication in the same order.
+  // Merged ready-queue over the composed graph, ties broken by global
+  // node id. A one-member epoch (Pipeline::run) orders READY nodes by its
+  // schedule key alone; the context's overlap flag picks the key set.
+  // With more members the priority is (phase << 40) + within: phase-0
+  // nodes (communication posts) order by (key, member) so every member's
+  // traffic is on the wire before any member blocks; phase-1/2 nodes run
+  // depth-first per member, members ordered by (tier, index) — an
+  // interactive member's wait..demod tail preempts a background member's
+  // whenever both are ready. All terms are pure functions of the member
+  // table, so every rank composing the same epoch posts communication in
+  // the same order.
   auto priority = [&](int gv) -> std::int64_t {
     const int mi = owner[static_cast<std::size_t>(gv)];
     const auto& em = members[static_cast<std::size_t>(mi)];
     const auto& n = em.pipeline->nodes_[static_cast<std::size_t>(
         gv - base[static_cast<std::size_t>(mi)])];
     const std::int64_t key = em.ctx->overlap ? n.ovl_key : n.seq_key;
+    if (m == 1) return key;
     const std::int64_t within =
         n.many_phase == 0
             ? key * m + mi

@@ -115,37 +115,36 @@ struct NodeSpec {
   StageClass cls = StageClass::kCompute;
   int seq_key = 0;  ///< priority under the in-order (chunk-major) schedule
   int ovl_key = 0;  ///< priority under the pipelined schedule
-  /// Co-scheduled (run_many) priority class. 0 = run as soon as ready,
-  /// ordered across instances by key (communication posts: every
-  /// instance's traffic goes on the wire before anyone blocks). 1 = the
-  /// pre-exchange front, 2 = the wait..demod tail; both run depth-first
-  /// per instance ((instance, key) order, all fronts before any tail) so
-  /// one instance's working set streams through the cache instead of K
-  /// interleaving stage-major. Ignored by single-instance runs.
+  /// Priority class in epochs of two or more members (run_epoch). 0 =
+  /// run as soon as ready, ordered across members by key (communication
+  /// posts: every member's traffic goes on the wire before anyone
+  /// blocks). 1 = the pre-exchange front, 2 = the wait..demod tail; both
+  /// run depth-first per member ((member, key) order, all fronts before
+  /// any tail) so one member's working set streams through the cache
+  /// instead of K interleaving stage-major. Ignored by one-member runs.
   int many_phase = 1;
   /// Set by finalize_graph() on generated barrier nodes: the executor
   /// calls the stage's atomic run() instead of run_node().
   bool is_auto = false;
 };
 
-/// Per-execution scheduler scratch: the ready-queue arrays one pipeline
-/// run drives its graph with, plus the reentrancy flag guarding them.
-/// Plans own one (inside ExecState) for their built-in execution; callers
-/// that execute ONE shared pipeline from several threads (the serving
-/// layer) bind one RunScratch per concurrent execution instead — the
-/// pipeline graph itself is immutable after init_trace(), so K executions
-/// with distinct (scratch, arena, trace) triples never share mutable
-/// state. Sized by Pipeline::bind_scratch(); run() never allocates.
+/// Per-execution scheduler scratch: the ready-queue arrays one epoch
+/// drives its members' graphs with, plus the reentrancy flag guarding
+/// them. Plans own one (inside ExecState) for their built-in execution;
+/// callers that execute ONE shared pipeline from several threads (the
+/// serving layer) bind one RunScratch per concurrent execution instead —
+/// the pipeline graph itself is immutable after init_trace(), so K
+/// executions with distinct (scratch, arena, trace) triples never share
+/// mutable state. Sized by bind_epoch_scratch() (Pipeline::bind_scratch()
+/// for one member); run() and run_epoch() never allocate.
 struct RunScratch {
   std::vector<int> indegree;
   std::vector<int> heap;
   std::atomic<bool> running{false};
-  /// Node slots this scratch was bound for (instances * node count).
+  /// Node slots this scratch was bound for (summed over the members).
   std::size_t capacity = 0;
-  /// Epoch composition tables (run_epoch only; empty for run/run_many):
-  /// per-member first global node id, and the member owning each global
-  /// node id. Sized by bind_epoch_scratch() so steady-state epochs never
-  /// grow them.
+  /// Epoch composition tables: per-member first global node id, and the
+  /// member owning each global node id.
   std::vector<int> epoch_base;
   std::vector<std::int32_t> epoch_member;
 };
@@ -154,7 +153,7 @@ struct RunScratch {
 /// stages bound to arena buffers ignore them. comm == nullptr means
 /// single-process execution (the serial plan's "null comm").
 ///
-/// The last three fields exist for co-scheduled execution (run_many):
+/// The last three fields exist for co-scheduled execution (run_epoch):
 /// `instance` selects the per-execution slot of stage-held communication
 /// requests, `channel` is the transport collective channel (and halo tag
 /// offset) keeping concurrent executions' messages from cross-matching,
@@ -223,19 +222,20 @@ inline constexpr int kMaxEpochMembers = 64;
 void bind_epoch_scratch(RunScratch& s, std::size_t total_nodes,
                         int max_members);
 
-/// Co-scheduled execution of several INDEPENDENT chunk graphs — possibly
-/// of different shapes/pipelines — in one deterministic merged schedule.
+/// The executor: runs one or more INDEPENDENT chunk graphs — possibly of
+/// different shapes/pipelines — in one deterministic merged schedule.
 /// Each member's node ids live in their own namespace (member m's node v
-/// is global id epoch_base[m] + v), every edge stays member-local (WAR
-/// slot-cycle edges included), and the merged binary heap orders READY
-/// nodes by (many_phase, key): communication posts of all members
-/// interleave on the wire first, then compute/wait nodes run depth-first
-/// per member, lower tiers first. Members must carry distinct transport
-/// channels when a communicator is attached (their collective/halo
-/// traffic must not cross-match) and, when they share one pipeline,
-/// distinct instance numbers. Per-member node order is a topological
-/// order of the member's own edges, so each member's output is
-/// bit-identical to a solo run of its pipeline. Allocation-free once
+/// is global id epoch_base[m] + v) and every edge stays member-local (WAR
+/// slot-cycle edges included). A one-member epoch orders READY nodes by
+/// the member's schedule key alone; with more members the merged binary
+/// heap orders them by (many_phase, key, member): communication posts of
+/// all members interleave on the wire first, then compute/wait nodes run
+/// depth-first per member, lower tiers first. Members must carry distinct
+/// transport channels when a communicator is attached (their
+/// collective/halo traffic must not cross-match) and, when they share one
+/// pipeline, distinct instance numbers. Per-member node order is a
+/// topological order of the member's own edges, so each member's output
+/// is bit-identical to a solo run of its pipeline. Allocation-free once
 /// `scratch` was bound via bind_epoch_scratch().
 template <class Real>
 void run_epoch(std::span<const EpochMemberT<Real>> members,
@@ -248,8 +248,8 @@ extern template void run_epoch<float>(
 
 /// Stage list + dataflow graph over one arena. add() all stages, declare
 /// nodes/edges for the chunked ones, then init_trace() once against the
-/// plan's TraceLog (this finalises the graph); run() drives the
-/// ready-queue. Stages without declared nodes receive one auto node with
+/// plan's TraceLog (this finalises the graph); run() executes it as a
+/// one-member epoch. Stages without declared nodes receive one auto node with
 /// full barrier edges to the nodes of their neighbouring stages, so a
 /// graph-free pipeline executes exactly like the old ordered list.
 template <class Real>
@@ -267,27 +267,13 @@ class PipelineT {
   /// Build the trace template from the stages' declared records and
   /// finalise the dataflow graph (auto nodes, CSR edges, scratch arrays).
   void init_trace(TraceLog& trace);
+  /// run_epoch() over the one member (this, ctx), on ctx.scratch when set,
+  /// else the pipeline's built-in scratch.
   void run(ExecContextT<Real>& ctx) const;
 
-  /// Size `s` for `instances` concurrent executions of this pipeline
-  /// (init_trace() must have run). A bound scratch serves run() via
-  /// ExecContext::scratch (instances == 1) or run_many() (instances == K).
-  void bind_scratch(RunScratch& s, int instances = 1) const;
-
-  /// Co-scheduled execution of K independent instances of THIS graph in
-  /// one deterministic interleaved schedule: the merged ready-queue orders
-  /// nodes by their per-instance schedule key (each context's overlap flag
-  /// picks its key set), ties broken instance-major — so every rank that
-  /// executes the same K instances posts communication in the same order,
-  /// and instance i's exchange pieces are in flight while instance j
-  /// computes. Contexts must carry distinct (arena, trace) pairs, distinct
-  /// `instance` numbers (the stage request slots) and distinct `channel`s
-  /// when a communicator is attached; `scratch` must have been bound for
-  /// at least K instances. Per-instance node order is a topological order
-  /// of the instance's own edges, so each instance's output is
-  /// bit-identical to a solo run().
-  void run_many(std::span<ExecContextT<Real>* const> ctxs,
-                RunScratch& scratch) const;
+  /// Size `s` for one-member epochs of this pipeline (init_trace() must
+  /// have run); a bound scratch serves run() via ExecContext::scratch.
+  void bind_scratch(RunScratch& s) const;
 
   /// Nodes in the finalised graph (init_trace() must have run).
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
@@ -298,8 +284,6 @@ class PipelineT {
 
  private:
   void finalize_graph();
-  void execute(std::span<ExecContextT<Real>* const> ctxs,
-               RunScratch& scratch) const;
 
   std::vector<std::unique_ptr<StageT<Real>>> stages_;
   std::vector<std::size_t> rec_offset_;  // stage -> first record index

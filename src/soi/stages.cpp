@@ -172,11 +172,10 @@ class HaloConvStageT final : public exec::StageT<Real> {
       const auto inst = static_cast<std::size_t>(ctx.instance);
       // Each concurrent execution's halo travels on its own tag so two
       // co-scheduled transforms' halos never cross-match. Channels must
-      // be unique across EVERY execution sharing this transport — other
-      // instances of this plan (forward_many) and members of co-scheduled
-      // cross-plan epochs (exec::run_epoch) alike — and bounded so the
-      // staged-exchange tag blocks (kTagStaged + phase*kMaxChannels +
-      // channel) stay disjoint.
+      // be unique across EVERY execution sharing this transport — every
+      // member of the epoch (exec::run_epoch), whichever plan it belongs
+      // to — and bounded so the staged-exchange tag blocks (kTagStaged +
+      // phase*kMaxChannels + channel) stay disjoint.
       SOI_CHECK(ctx.channel >= 0 && ctx.channel < net::kMaxChannels,
                 "SOI pipeline: channel " << ctx.channel << " not in [0, "
                                          << net::kMaxChannels << ")");

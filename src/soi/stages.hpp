@@ -86,8 +86,8 @@ struct ChainEnvT {
   /// Sink for the coded exchange's counters (recovered shards, parity
   /// bytes, fallbacks). Owned by the plan; null = untracked.
   net::CodedStatsAtomic* coded_stats = nullptr;
-  /// Executions of this chain that may be in flight at once (co-scheduled
-  /// via Pipeline::run_many or racing from worker threads). The stages
+  /// Executions of this chain that may be in flight at once (members of
+  /// one exec::run_epoch or racing from worker threads). The stages
   /// size their per-execution mutable state (in-flight requests) from
   /// this at construction, indexed by ExecContext::instance — so it must
   /// be set BEFORE append_chain_stages().

@@ -252,8 +252,8 @@ TEST(DistSoiMultiSeg2, RejectsBadSegmentation) {
 // --- communication/computation overlap -----------------------------------------
 
 TEST(DistOverlap, OverlappedMatchesBlockingBitExactly) {
-  // Same group order, same kernels: the overlapped path must agree to the
-  // last bit with the plain path.
+  // Same group order, same kernels: a plan built with overlap on must
+  // agree to the last bit with the same plan built with overlap off.
   const std::int64_t n = 16384;
   for (const auto& [ranks, spr] :
        std::vector<std::pair<int, std::int64_t>>{{4, 1}, {4, 2}, {2, 4}}) {
@@ -262,11 +262,15 @@ TEST(DistOverlap, OverlappedMatchesBlockingBitExactly) {
     cvec plain(x.size()), fast(x.size());
     std::mutex mu;
     net::run_ranks(ranks, [&](net::Comm& c) {
-      core::SoiFftDist plan(c, n, full_profile(), spr);
+      core::DistOptions opts;
+      opts.segments_per_rank = spr;
+      core::SoiFftDist plan(c, n, full_profile(), opts);
+      opts.overlap = true;
+      core::SoiFftDist overlapped(c, n, full_profile(), opts);
       cvec ya(static_cast<std::size_t>(m)), yb(static_cast<std::size_t>(m));
       plan.forward(cspan{x.data() + c.rank() * m, static_cast<std::size_t>(m)},
                    ya);
-      plan.forward_overlapped(
+      overlapped.forward(
           cspan{x.data() + c.rank() * m, static_cast<std::size_t>(m)}, yb);
       std::lock_guard<std::mutex> lock(mu);
       std::copy(ya.begin(), ya.end(), plain.begin() + c.rank() * m);
@@ -285,8 +289,10 @@ TEST(DistOverlap, SingleRankOverlapFallsBack) {
   const cvec want = reference_fft(x);
   cvec got(x.size());
   net::run_ranks(1, [&](net::Comm& c) {
-    core::SoiFftDist plan(c, n, full_profile());
-    plan.forward_overlapped(x, got);
+    core::DistOptions opts;
+    opts.overlap = true;
+    core::SoiFftDist plan(c, n, full_profile(), opts);
+    plan.forward(x, got);
   });
   EXPECT_GT(snr_db(got, want), 270.0);
 }

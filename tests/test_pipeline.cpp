@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <mutex>
@@ -203,6 +204,102 @@ TEST(Pipeline, DistSteadyStateAllocatesNothing) {
   EXPECT_EQ(delta, 0);
 }
 
+// --- co-scheduled (multi-member epoch) steady state -------------------------
+
+// Runs `run_epoch_once` twice on every rank to warm up, then stores in
+// `delta` the alloc_stats() count of one more call bracketed by barriers.
+// Every rank reads `before` before any rank starts the counted call, so
+// no rank's allocations escape the window.
+template <class Fn>
+void steady_epoch_allocs(net::Comm& comm, std::mutex& mu, std::int64_t& delta,
+                         Fn run_epoch_once) {
+  run_epoch_once();
+  run_epoch_once();
+  comm.barrier();
+  const std::int64_t before = alloc_stats().count;
+  comm.barrier();
+  run_epoch_once();
+  comm.barrier();
+  if (comm.rank() == 0) {
+    std::lock_guard<std::mutex> lock(mu);
+    delta = alloc_stats().count - before;
+  }
+}
+
+TEST(Pipeline, CoScheduledSamePlanEpochAllocatesNothing) {
+  // Three instances of one plan in one epoch: per-instance arenas,
+  // traces, request slots and the epoch scratch are all preallocated.
+  const std::int64_t n = 8192;
+  const int ranks = 4;
+  const int k = 3;
+  const cvec x = random_signal(n, 13);
+  std::int64_t delta = -1;
+  std::mutex mu;
+  net::run_ranks(ranks, [&](net::Comm& comm) {
+    core::DistOptions opts;
+    opts.max_concurrency = k;
+    core::SoiFftDist plan(comm, n, full_profile(), opts);
+    const std::int64_t m = plan.local_size();
+    const cspan xin{x.data() + comm.rank() * m, static_cast<std::size_t>(m)};
+    std::vector<cvec> ys(k, cvec(static_cast<std::size_t>(m)));
+    exec::RunScratch scratch;
+    exec::bind_epoch_scratch(scratch, k * plan.node_count(), k);
+    std::array<exec::EpochMemberT<double>, k> members;
+    steady_epoch_allocs(comm, mu, delta, [&] {
+      for (int i = 0; i < k; ++i) {
+        plan.bind_epoch_member(members[static_cast<std::size_t>(i)], i, i,
+                               xin, ys[static_cast<std::size_t>(i)]);
+      }
+      exec::run_epoch(std::span<const exec::EpochMemberT<double>>(members),
+                      scratch);
+      plan.finish_epoch(k);
+    });
+    EXPECT_EQ(plan.workspace().growths(), 0);
+  });
+  EXPECT_EQ(delta, 0);
+}
+
+TEST(Pipeline, CoScheduledMixedShapeEpochAllocatesNothing) {
+  // Two plans of different shapes composed into one epoch at different
+  // tiers.
+  const std::int64_t n0 = 8192;
+  const std::int64_t n1 = 16384;
+  const int ranks = 4;
+  const cvec x0 = random_signal(n0, 14);
+  const cvec x1 = random_signal(n1, 15);
+  std::int64_t delta = -1;
+  std::mutex mu;
+  net::run_ranks(ranks, [&](net::Comm& comm) {
+    core::SoiFftDist plan0(comm, n0, full_profile());
+    core::SoiFftDist plan1(comm, n1, full_profile());
+    const std::int64_t m0 = plan0.local_size();
+    const std::int64_t m1 = plan1.local_size();
+    const cspan x0in{x0.data() + comm.rank() * m0,
+                     static_cast<std::size_t>(m0)};
+    const cspan x1in{x1.data() + comm.rank() * m1,
+                     static_cast<std::size_t>(m1)};
+    cvec y0(static_cast<std::size_t>(m0));
+    cvec y1(static_cast<std::size_t>(m1));
+    exec::RunScratch scratch;
+    exec::bind_epoch_scratch(scratch,
+                             plan0.node_count() + plan1.node_count(), 2);
+    std::array<exec::EpochMemberT<double>, 2> members;
+    steady_epoch_allocs(comm, mu, delta, [&] {
+      plan0.bind_epoch_member(members[0], 0, 0, x0in, y0);
+      plan1.bind_epoch_member(members[1], 0, 1, x1in, y1);
+      members[0].tier = 0;
+      members[1].tier = 2;
+      exec::run_epoch(std::span<const exec::EpochMemberT<double>>(members),
+                      scratch);
+      plan0.finish_epoch(1);
+      plan1.finish_epoch(1);
+    });
+    EXPECT_EQ(plan0.workspace().growths(), 0);
+    EXPECT_EQ(plan1.workspace().growths(), 0);
+  });
+  EXPECT_EQ(delta, 0);
+}
+
 // --- serial vs distributed stage parity -------------------------------------
 
 TEST(Pipeline, SerialDistStageParity) {
@@ -316,6 +413,105 @@ TEST(Pipeline, ReentrantRunOnOnePlanThrows) {
   // Guard released by the unwind: a fresh non-reentrant run succeeds.
   EXPECT_FALSE(raw->reenter);
   pipe.run(ctx);
+}
+
+// --- schedule order ---------------------------------------------------------
+
+// One stage of eight declared nodes, each appending 100 * instance + its
+// id (carried in NodeSpec::phase) to a log. Distinct seq/ovl keys and
+// mixed many_phase classes make every ordering rule visible in the log.
+struct LogStage : exec::StageT<double> {
+  mutable std::vector<int> log;
+  void plan_records(std::vector<exec::StageRecord>& out) const override {
+    exec::StageRecord r;
+    r.name = "log";
+    out.push_back(r);
+  }
+  void run(exec::ExecContextT<double>&, exec::StageRecord*) const override {}
+  void run_node(exec::ExecContextT<double>& ctx, exec::StageRecord*,
+                const exec::NodeSpec& node) const override {
+    log.push_back(100 * ctx.instance + node.phase);
+  }
+};
+
+TEST(Pipeline, ScheduleOrderIsPinned) {
+  // The expected sequences are the orders the separate solo and
+  // same-pipeline batch schedulers produced before run_epoch replaced
+  // them: a one-member epoch orders by schedule key alone, a two-member
+  // epoch at equal tiers by (many_phase, key, member) — posts interleave
+  // across members, fronts and tails run member-major. Workload schedules
+  // (the overlap schedule of dist_shm_1m included) depend on both rules.
+  exec::PipelineT<double> pipe;
+  auto owned = std::make_unique<LogStage>();
+  LogStage* stage = owned.get();
+  pipe.add(std::move(owned));
+  // {seq_key, ovl_key, many_phase} per node.
+  const int keys[8][3] = {{0, 0, 1}, {1, 3, 0}, {2, 1, 1}, {3, 5, 2},
+                          {4, 6, 0}, {5, 2, 2}, {6, 4, 1}, {7, 7, 2}};
+  for (int v = 0; v < 8; ++v) {
+    exec::NodeSpec node;
+    node.phase = v;
+    node.seq_key = keys[v][0];
+    node.ovl_key = keys[v][1];
+    node.many_phase = keys[v][2];
+    pipe.add_node(node);
+  }
+  for (const auto& [before, after] : std::vector<std::pair<int, int>>{
+           {0, 2}, {1, 3}, {2, 4}, {2, 5}, {3, 6}, {4, 6}, {5, 7}, {6, 7}}) {
+    pipe.add_edge(before, after);
+  }
+  exec::TraceLog trace0;
+  pipe.init_trace(trace0);
+  exec::TraceLog trace1 = trace0;
+  WorkspaceArena arena0;
+  WorkspaceArena arena1;
+
+  for (const bool overlap : {false, true}) {
+    exec::ExecContextT<double> ctx;
+    ctx.arena = &arena0;
+    ctx.trace = &trace0;
+    ctx.overlap = overlap;
+    stage->log.clear();
+    pipe.run(ctx);
+    const std::vector<int> want =
+        overlap ? std::vector<int>{0, 2, 5, 1, 3, 4, 6, 7}
+                : std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7};
+    EXPECT_EQ(stage->log, want) << "overlap=" << overlap;
+  }
+
+  struct Case {
+    bool overlap0, overlap1;
+    std::vector<int> want;
+  };
+  const Case cases[] = {
+      {false, false, {1, 101, 0, 2, 4, 100, 102, 104,  //
+                      3, 6, 5, 7, 103, 106, 105, 107}},
+      {true, true, {1, 101, 0, 2, 4, 100, 102, 104,  //
+                    5, 3, 6, 7, 105, 103, 106, 107}},
+      {false, true, {1, 101, 0, 2, 4, 100, 102, 104,  //
+                     3, 6, 5, 7, 105, 103, 106, 107}},
+  };
+  exec::RunScratch scratch;
+  exec::bind_epoch_scratch(scratch, 2 * pipe.node_count(), 2);
+  for (const Case& c : cases) {
+    exec::ExecContextT<double> ctx0;
+    ctx0.arena = &arena0;
+    ctx0.trace = &trace0;
+    ctx0.overlap = c.overlap0;
+    exec::ExecContextT<double> ctx1;
+    ctx1.arena = &arena1;
+    ctx1.trace = &trace1;
+    ctx1.overlap = c.overlap1;
+    ctx1.instance = 1;
+    ctx1.channel = 1;
+    const std::array<exec::EpochMemberT<double>, 2> members{
+        {{&pipe, &ctx0, 1}, {&pipe, &ctx1, 1}}};
+    stage->log.clear();
+    exec::run_epoch(std::span<const exec::EpochMemberT<double>>(members),
+                    scratch);
+    EXPECT_EQ(stage->log, c.want)
+        << "overlap=" << c.overlap0 << c.overlap1;
+  }
 }
 
 // --- chunked (D > 1) schedules ----------------------------------------------
