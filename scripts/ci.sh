@@ -36,9 +36,14 @@ run_asan() {
   cmake --build build-ci/asan -j "${jobs}" --target \
     test_common test_net test_fft test_batch_fft test_fft_float test_soi \
     test_dist test_pipeline test_tune
+  # The scalar tier runs every batch pass through the one-lane (W = 1)
+  # kernel instantiations; the batch and float suites run there too so
+  # those get sanitizer coverage over the whole suite.
   (cd build-ci/asan &&
     ./tests/test_common && ./tests/test_net && ./tests/test_fft &&
-    ./tests/test_batch_fft && ./tests/test_fft_float && ./tests/test_soi &&
+    ./tests/test_batch_fft && ./tests/test_fft_float &&
+    SOI_SIMD=scalar ./tests/test_batch_fft &&
+    SOI_SIMD=scalar ./tests/test_fft_float && ./tests/test_soi &&
     ./tests/test_dist && ./tests/test_pipeline && ./tests/test_tune)
 }
 

@@ -12,16 +12,6 @@
 #include "common/math.hpp"
 #include "fft/factor.hpp"
 
-// The SIMD kernels below use GCC/Clang vector extensions: explicit
-// fixed-width vector types with element-wise operators and
-// __builtin_shufflevector. They lower to whatever the target ISA offers
-// (a 8-double vector becomes one zmm op, two ymm ops, or four xmm ops),
-// so one kernel body serves every dispatch tier. Other compilers fall
-// back to the scalar blocked kernels.
-#if defined(__GNUC__) || defined(__clang__)
-#define SOI_BATCH_VECEXT 1
-#endif
-
 namespace soi::fft {
 namespace detail {
 namespace {
@@ -48,8 +38,14 @@ constexpr double kInvSqrt2B = 0.70710678118654752440;
 //
 // and the c loop — contiguous, twiddle-invariant — is the vector axis.
 // Kernels are templated on the compile-time width W (Real lanes of one
-// SIMD register at the dispatched ISA tier); the W-trip inner loops lower
-// to single vector instructions at -O3. Sign: -1 forward, +1 inverse.
+// SIMD register at the dispatched ISA tier) and written once, in GCC/Clang
+// vector extensions: explicit W-lane loads/stores and splatted twiddles,
+// so the strided q-leg stores need no alias analysis from the compiler.
+// A vector type lowers to whatever the target ISA offers (an 8-double
+// vector becomes one zmm op, two ymm ops, or four xmm ops), and W = 1 is
+// plain Real, so one body per radix serves every tier and every span; the
+// tier changes speed, never bits. Callers guarantee s % W == 0; there are
+// no tail loops. Sign: -1 forward, +1 inverse.
 // ---------------------------------------------------------------------------
 
 template <int Sign, class Real>
@@ -64,295 +60,16 @@ inline void mul_pm_i_split(Real vr, Real vi, Real& or_, Real& oi) {
   }
 }
 
-// v * w8^1 and v * w8^3 for the radix-8 butterfly (w8 = exp(Sign*i*pi/4)).
-template <int Sign, class Real>
-inline void mul_w8_1(Real vr, Real vi, Real& or_, Real& oi) {
-  const Real k(kInvSqrt2B);
-  if constexpr (Sign < 0) {
-    or_ = (vr + vi) * k;
-    oi = (vi - vr) * k;
-  } else {
-    or_ = (vr - vi) * k;
-    oi = (vr + vi) * k;
-  }
-}
-
-template <int Sign, class Real>
-inline void mul_w8_3(Real vr, Real vi, Real& or_, Real& oi) {
-  const Real k(kInvSqrt2B);
-  if constexpr (Sign < 0) {
-    or_ = (vi - vr) * k;
-    oi = -(vr + vi) * k;
-  } else {
-    or_ = -(vr + vi) * k;
-    oi = (vr - vi) * k;
-  }
-}
-
-template <int W, int Sign, class Real>
-void pass2_soa(std::int64_t m, std::int64_t s, const Real* __restrict sre,
-               const Real* __restrict sim, Real* __restrict dre,
-               Real* __restrict dim, const Real* __restrict twr,
-               const Real* __restrict twi) {
-  for (std::int64_t j2 = 0; j2 < m; ++j2) {
-    const Real t1r = twr[j2 * 2 + 1], t1i = twi[j2 * 2 + 1];
-    const Real* __restrict sr0 = sre + s * j2;
-    const Real* __restrict si0 = sim + s * j2;
-    const Real* __restrict sr1 = sre + s * (j2 + m);
-    const Real* __restrict si1 = sim + s * (j2 + m);
-    Real* __restrict dr = dre + s * (2 * j2);
-    Real* __restrict di = dim + s * (2 * j2);
-    std::int64_t c = 0;
-    for (; c + W <= s; c += W) {
-      for (int k = 0; k < W; ++k) {
-        const Real a0r = sr0[c + k], a0i = si0[c + k];
-        const Real a1r = sr1[c + k], a1i = si1[c + k];
-        dr[c + k] = a0r + a1r;
-        di[c + k] = a0i + a1i;
-        const Real br = a0r - a1r, bi = a0i - a1i;
-        dr[c + s + k] = br * t1r - bi * t1i;
-        di[c + s + k] = br * t1i + bi * t1r;
-      }
-    }
-    for (; c < s; ++c) {
-      const Real a0r = sr0[c], a0i = si0[c];
-      const Real a1r = sr1[c], a1i = si1[c];
-      dr[c] = a0r + a1r;
-      di[c] = a0i + a1i;
-      const Real br = a0r - a1r, bi = a0i - a1i;
-      dr[c + s] = br * t1r - bi * t1i;
-      di[c + s] = br * t1i + bi * t1r;
-    }
-  }
-}
-
-template <int W, int Sign, class Real>
-void pass3_soa(std::int64_t m, std::int64_t s, const Real* __restrict sre,
-               const Real* __restrict sim, Real* __restrict dre,
-               Real* __restrict dim, const Real* __restrict twr,
-               const Real* __restrict twi) {
-  const Real half(0.5), s32(kSqrt3Over2B);
-  for (std::int64_t j2 = 0; j2 < m; ++j2) {
-    const Real t1r = twr[j2 * 3 + 1], t1i = twi[j2 * 3 + 1];
-    const Real t2r = twr[j2 * 3 + 2], t2i = twi[j2 * 3 + 2];
-    const Real* __restrict sr0 = sre + s * j2;
-    const Real* __restrict si0 = sim + s * j2;
-    const Real* __restrict sr1 = sre + s * (j2 + m);
-    const Real* __restrict si1 = sim + s * (j2 + m);
-    const Real* __restrict sr2 = sre + s * (j2 + 2 * m);
-    const Real* __restrict si2 = sim + s * (j2 + 2 * m);
-    Real* __restrict dr = dre + s * (3 * j2);
-    Real* __restrict di = dim + s * (3 * j2);
-    auto body = [&](std::int64_t c) {
-      const Real a0r = sr0[c], a0i = si0[c];
-      const Real a1r = sr1[c], a1i = si1[c];
-      const Real a2r = sr2[c], a2i = si2[c];
-      const Real sumr = a1r + a2r, sumi = a1i + a2i;
-      Real difr, difi;
-      mul_pm_i_split<Sign, Real>(s32 * (a1r - a2r), s32 * (a1i - a2i), difr,
-                                 difi);
-      const Real baser = a0r - half * sumr, basei = a0i - half * sumi;
-      dr[c] = a0r + sumr;
-      di[c] = a0i + sumi;
-      const Real x1r = baser + difr, x1i = basei + difi;
-      dr[c + s] = x1r * t1r - x1i * t1i;
-      di[c + s] = x1r * t1i + x1i * t1r;
-      const Real x2r = baser - difr, x2i = basei - difi;
-      dr[c + 2 * s] = x2r * t2r - x2i * t2i;
-      di[c + 2 * s] = x2r * t2i + x2i * t2r;
-    };
-    std::int64_t c = 0;
-    for (; c + W <= s; c += W) {
-      for (int k = 0; k < W; ++k) body(c + k);
-    }
-    for (; c < s; ++c) body(c);
-  }
-}
-
-template <int W, int Sign, class Real>
-void pass4_soa(std::int64_t m, std::int64_t s, const Real* __restrict sre,
-               const Real* __restrict sim, Real* __restrict dre,
-               Real* __restrict dim, const Real* __restrict twr,
-               const Real* __restrict twi) {
-  for (std::int64_t j2 = 0; j2 < m; ++j2) {
-    const Real t1r = twr[j2 * 4 + 1], t1i = twi[j2 * 4 + 1];
-    const Real t2r = twr[j2 * 4 + 2], t2i = twi[j2 * 4 + 2];
-    const Real t3r = twr[j2 * 4 + 3], t3i = twi[j2 * 4 + 3];
-    const Real* __restrict sr0 = sre + s * j2;
-    const Real* __restrict si0 = sim + s * j2;
-    const Real* __restrict sr1 = sre + s * (j2 + m);
-    const Real* __restrict si1 = sim + s * (j2 + m);
-    const Real* __restrict sr2 = sre + s * (j2 + 2 * m);
-    const Real* __restrict si2 = sim + s * (j2 + 2 * m);
-    const Real* __restrict sr3 = sre + s * (j2 + 3 * m);
-    const Real* __restrict si3 = sim + s * (j2 + 3 * m);
-    Real* __restrict dr = dre + s * (4 * j2);
-    Real* __restrict di = dim + s * (4 * j2);
-    auto body = [&](std::int64_t c) {
-      const Real a0r = sr0[c], a0i = si0[c];
-      const Real a1r = sr1[c], a1i = si1[c];
-      const Real a2r = sr2[c], a2i = si2[c];
-      const Real a3r = sr3[c], a3i = si3[c];
-      const Real e0r = a0r + a2r, e0i = a0i + a2i;
-      const Real e1r = a0r - a2r, e1i = a0i - a2i;
-      const Real o0r = a1r + a3r, o0i = a1i + a3i;
-      Real o1r, o1i;
-      mul_pm_i_split<Sign, Real>(a1r - a3r, a1i - a3i, o1r, o1i);
-      dr[c] = e0r + o0r;
-      di[c] = e0i + o0i;
-      const Real x1r = e1r + o1r, x1i = e1i + o1i;
-      dr[c + s] = x1r * t1r - x1i * t1i;
-      di[c + s] = x1r * t1i + x1i * t1r;
-      const Real x2r = e0r - o0r, x2i = e0i - o0i;
-      dr[c + 2 * s] = x2r * t2r - x2i * t2i;
-      di[c + 2 * s] = x2r * t2i + x2i * t2r;
-      const Real x3r = e1r - o1r, x3i = e1i - o1i;
-      dr[c + 3 * s] = x3r * t3r - x3i * t3i;
-      di[c + 3 * s] = x3r * t3i + x3i * t3r;
-    };
-    std::int64_t c = 0;
-    for (; c + W <= s; c += W) {
-      for (int k = 0; k < W; ++k) body(c + k);
-    }
-    for (; c < s; ++c) body(c);
-  }
-}
-
-template <int W, int Sign, class Real>
-void pass5_soa(std::int64_t m, std::int64_t s, const Real* __restrict sre,
-               const Real* __restrict sim, Real* __restrict dre,
-               Real* __restrict dim, const Real* __restrict twr,
-               const Real* __restrict twi) {
-  const Real c1(kCos2Pi5B), c2(kCos4Pi5B), s1(kSin2Pi5B), s2(kSin4Pi5B);
-  for (std::int64_t j2 = 0; j2 < m; ++j2) {
-    const Real* t = twr + j2 * 5;
-    const Real* ti = twi + j2 * 5;
-    const Real* __restrict sr0 = sre + s * j2;
-    const Real* __restrict si0 = sim + s * j2;
-    const Real* __restrict sr1 = sre + s * (j2 + m);
-    const Real* __restrict si1 = sim + s * (j2 + m);
-    const Real* __restrict sr2 = sre + s * (j2 + 2 * m);
-    const Real* __restrict si2 = sim + s * (j2 + 2 * m);
-    const Real* __restrict sr3 = sre + s * (j2 + 3 * m);
-    const Real* __restrict si3 = sim + s * (j2 + 3 * m);
-    const Real* __restrict sr4 = sre + s * (j2 + 4 * m);
-    const Real* __restrict si4 = sim + s * (j2 + 4 * m);
-    Real* __restrict dr = dre + s * (5 * j2);
-    Real* __restrict di = dim + s * (5 * j2);
-    auto body = [&](std::int64_t c) {
-      const Real a0r = sr0[c], a0i = si0[c];
-      const Real a1r = sr1[c], a1i = si1[c];
-      const Real a2r = sr2[c], a2i = si2[c];
-      const Real a3r = sr3[c], a3i = si3[c];
-      const Real a4r = sr4[c], a4i = si4[c];
-      const Real su1r = a1r + a4r, su1i = a1i + a4i;
-      const Real su2r = a2r + a3r, su2i = a2i + a3i;
-      const Real d1r = a1r - a4r, d1i = a1i - a4i;
-      const Real d2r = a2r - a3r, d2i = a2i - a3i;
-      const Real m1r = a0r + c1 * su1r + c2 * su2r;
-      const Real m1i = a0i + c1 * su1i + c2 * su2i;
-      const Real m2r = a0r + c2 * su1r + c1 * su2r;
-      const Real m2i = a0i + c2 * su1i + c1 * su2i;
-      Real m3r, m3i, m4r, m4i;
-      mul_pm_i_split<Sign, Real>(s1 * d1r + s2 * d2r, s1 * d1i + s2 * d2i, m3r,
-                                 m3i);
-      mul_pm_i_split<Sign, Real>(s2 * d1r - s1 * d2r, s2 * d1i - s1 * d2i, m4r,
-                                 m4i);
-      dr[c] = a0r + su1r + su2r;
-      di[c] = a0i + su1i + su2i;
-      const Real x1r = m1r + m3r, x1i = m1i + m3i;
-      dr[c + s] = x1r * t[1] - x1i * ti[1];
-      di[c + s] = x1r * ti[1] + x1i * t[1];
-      const Real x2r = m2r + m4r, x2i = m2i + m4i;
-      dr[c + 2 * s] = x2r * t[2] - x2i * ti[2];
-      di[c + 2 * s] = x2r * ti[2] + x2i * t[2];
-      const Real x3r = m2r - m4r, x3i = m2i - m4i;
-      dr[c + 3 * s] = x3r * t[3] - x3i * ti[3];
-      di[c + 3 * s] = x3r * ti[3] + x3i * t[3];
-      const Real x4r = m1r - m3r, x4i = m1i - m3i;
-      dr[c + 4 * s] = x4r * t[4] - x4i * ti[4];
-      di[c + 4 * s] = x4r * ti[4] + x4i * t[4];
-    };
-    std::int64_t c = 0;
-    for (; c + W <= s; c += W) {
-      for (int k = 0; k < W; ++k) body(c + k);
-    }
-    for (; c < s; ++c) body(c);
-  }
-}
-
-// Radix-8 (two radix-4 sub-DFTs over even/odd legs + w8 recombination):
-// three radix-2 levels in one read+write sweep over the batch.
-template <int W, int Sign, class Real>
-void pass8_soa(std::int64_t m, std::int64_t s, const Real* __restrict sre,
-               const Real* __restrict sim, Real* __restrict dre,
-               Real* __restrict dim, const Real* __restrict twr,
-               const Real* __restrict twi) {
-  for (std::int64_t j2 = 0; j2 < m; ++j2) {
-    const Real* t = twr + j2 * 8;
-    const Real* ti = twi + j2 * 8;
-    const Real* sr[8];
-    const Real* si[8];
-    for (int j1 = 0; j1 < 8; ++j1) {
-      sr[j1] = sre + s * (j2 + m * j1);
-      si[j1] = sim + s * (j2 + m * j1);
-    }
-    Real* __restrict dr = dre + s * (8 * j2);
-    Real* __restrict di = dim + s * (8 * j2);
-    auto body = [&](std::int64_t c) {
-      // Even legs (a0, a2, a4, a6) -> E[0..3].
-      const Real e0r = sr[0][c] + sr[4][c], e0i = si[0][c] + si[4][c];
-      const Real e1r = sr[0][c] - sr[4][c], e1i = si[0][c] - si[4][c];
-      const Real o0r = sr[2][c] + sr[6][c], o0i = si[2][c] + si[6][c];
-      Real o1r, o1i;
-      mul_pm_i_split<Sign, Real>(sr[2][c] - sr[6][c], si[2][c] - si[6][c], o1r,
-                                 o1i);
-      const Real E0r = e0r + o0r, E0i = e0i + o0i;
-      const Real E1r = e1r + o1r, E1i = e1i + o1i;
-      const Real E2r = e0r - o0r, E2i = e0i - o0i;
-      const Real E3r = e1r - o1r, E3i = e1i - o1i;
-      // Odd legs (a1, a3, a5, a7) -> O[0..3].
-      const Real f0r = sr[1][c] + sr[5][c], f0i = si[1][c] + si[5][c];
-      const Real f1r = sr[1][c] - sr[5][c], f1i = si[1][c] - si[5][c];
-      const Real p0r = sr[3][c] + sr[7][c], p0i = si[3][c] + si[7][c];
-      Real p1r, p1i;
-      mul_pm_i_split<Sign, Real>(sr[3][c] - sr[7][c], si[3][c] - si[7][c], p1r,
-                                 p1i);
-      const Real O0r = f0r + p0r, O0i = f0i + p0i;
-      Real O1r = f1r + p1r, O1i = f1i + p1i;
-      Real O2r = f0r - p0r, O2i = f0i - p0i;
-      Real O3r = f1r - p1r, O3i = f1i - p1i;
-      // Recombine with w8^q.
-      Real w1r, w1i, w2r, w2i, w3r, w3i;
-      mul_w8_1<Sign, Real>(O1r, O1i, w1r, w1i);
-      mul_pm_i_split<Sign, Real>(O2r, O2i, w2r, w2i);
-      mul_w8_3<Sign, Real>(O3r, O3i, w3r, w3i);
-      const Real xr[8] = {E0r + O0r, E1r + w1r, E2r + w2r, E3r + w3r,
-                          E0r - O0r, E1r - w1r, E2r - w2r, E3r - w3r};
-      const Real xi[8] = {E0i + O0i, E1i + w1i, E2i + w2i, E3i + w3i,
-                          E0i - O0i, E1i - w1i, E2i - w2i, E3i - w3i};
-      dr[c] = xr[0];
-      di[c] = xi[0];
-      for (int q = 1; q < 8; ++q) {
-        dr[c + q * s] = xr[q] * t[q] - xi[q] * ti[q];
-        di[c + q * s] = xr[q] * ti[q] + xi[q] * t[q];
-      }
-    };
-    std::int64_t c = 0;
-    for (; c + W <= s; c += W) {
-      for (int k = 0; k < W; ++k) body(c + k);
-    }
-    for (; c < s; ++c) body(c);
-  }
-}
-
-// Generic radix (7, 11, 13): O(r^2) butterfly over W-wide accumulators.
-template <int W, class Real>
+// Generic radix (7, 11, 13): O(r^2) butterfly over W = 4 accumulators,
+// with a scalar tail, so any span s works. The width is fixed on every
+// tier, which keeps these radices tier-independent too.
+template <class Real>
 void passg_soa(std::int64_t r, std::int64_t m, std::int64_t s,
                const Real* __restrict sre, const Real* __restrict sim,
                Real* __restrict dre, Real* __restrict dim,
                const Real* __restrict twr, const Real* __restrict twi,
                const Real* __restrict wrr, const Real* __restrict wri) {
+  constexpr int W = 4;
   for (std::int64_t j2 = 0; j2 < m; ++j2) {
     const Real* t = twr + j2 * r;
     const Real* ti = twi + j2 * r;
@@ -399,17 +116,6 @@ void passg_soa(std::int64_t r, std::int64_t m, std::int64_t s,
   }
 }
 
-#ifdef SOI_BATCH_VECEXT
-
-// ---------------------------------------------------------------------------
-// Vector-extension kernels. Same pass algebra as the scalar kernels above,
-// but with explicit W-lane vector loads/stores and splatted twiddles, so
-// the strided q-leg stores need no alias analysis from the compiler (the
-// scalar kernels' blocked loops defeat it — the q-leg store streams can't
-// be proven disjoint, which serialises the whole butterfly).
-// Callers guarantee s % W == 0; there are no tail loops.
-// ---------------------------------------------------------------------------
-
 // Compute vector types keep their natural alignment: every SoA scratch
 // access is a whole-vector offset from a 64B-aligned plane base, and
 // naturally-aligned types keep stack temporaries and reference binding
@@ -418,6 +124,12 @@ void passg_soa(std::int64_t r, std::int64_t m, std::int64_t s,
 template <class Real, int W>
 struct VecOf {
   typedef Real type __attribute__((vector_size(W * sizeof(Real))));
+};
+// One lane is Real itself: a one-element vector type compiles to slower
+// code than the scalar it wraps.
+template <class Real>
+struct VecOf<Real, 1> {
+  using type = Real;
 };
 template <class Real, int W>
 using vec_t = typename VecOf<Real, W>::type;
@@ -430,8 +142,9 @@ struct VecUOf {
 template <class Real, int W>
 using uvec_t = typename VecUOf<Real, W>::type;
 
-// Vector counterparts of mul_w8_* (mul_pm_i_split is constant-free and
-// instantiates directly on vector types; these need k as a scalar operand).
+// v * w8^1 and v * w8^3 for the radix-8 butterfly (w8 = exp(Sign*i*pi/4)).
+// mul_pm_i_split is constant-free and instantiates directly on vector
+// types; these take k as a scalar operand, so V may also be Real.
 template <int Sign, class V, class Real>
 inline void vmul_w8_1(V vr, V vi, Real k, V& or_, V& oi) {
   if constexpr (Sign < 0) {
@@ -951,8 +664,6 @@ void pass4_last_store4(std::int64_t s, const double* __restrict sre,
   }
 }
 
-#endif  // SOI_BATCH_VECEXT
-
 // ---------------------------------------------------------------------------
 // Stage descriptors and the per-chunk driver.
 // ---------------------------------------------------------------------------
@@ -973,41 +684,10 @@ struct BStage {
   const Real* wri_i = nullptr;
 };
 
-// One pass through the scalar blocked kernels (portable fallback).
+// One pass at width W; caller guarantees s % W == 0.
 template <int W, int Sign, class Real>
-void run_stage_scalar(const BStage<Real>& st, std::int64_t s, const Real* sre,
-                      const Real* sim, Real* dre, Real* dim) {
-  const Real* twr = Sign < 0 ? st.twr_f : st.twr_i;
-  const Real* twi = Sign < 0 ? st.twi_f : st.twi_i;
-  switch (st.r) {
-    case 2:
-      pass2_soa<W, Sign, Real>(st.m, s, sre, sim, dre, dim, twr, twi);
-      break;
-    case 3:
-      pass3_soa<W, Sign, Real>(st.m, s, sre, sim, dre, dim, twr, twi);
-      break;
-    case 4:
-      pass4_soa<W, Sign, Real>(st.m, s, sre, sim, dre, dim, twr, twi);
-      break;
-    case 5:
-      pass5_soa<W, Sign, Real>(st.m, s, sre, sim, dre, dim, twr, twi);
-      break;
-    case 8:
-      pass8_soa<W, Sign, Real>(st.m, s, sre, sim, dre, dim, twr, twi);
-      break;
-    default:
-      passg_soa<W, Real>(st.r, st.m, s, sre, sim, dre, dim, twr, twi,
-                         Sign < 0 ? st.wrr_f : st.wrr_i,
-                         Sign < 0 ? st.wri_f : st.wri_i);
-      break;
-  }
-}
-
-#ifdef SOI_BATCH_VECEXT
-// One pass through the vector kernels; caller guarantees s % W == 0.
-template <int W, int Sign, class Real>
-void run_stage_vec(const BStage<Real>& st, std::int64_t s, const Real* sre,
-                   const Real* sim, Real* dre, Real* dim) {
+void run_stage(const BStage<Real>& st, std::int64_t s, const Real* sre,
+               const Real* sim, Real* dre, Real* dim) {
   const Real* twr = Sign < 0 ? st.twr_f : st.twr_i;
   const Real* twi = Sign < 0 ? st.twi_f : st.twi_i;
   switch (st.r) {
@@ -1027,60 +707,44 @@ void run_stage_vec(const BStage<Real>& st, std::int64_t s, const Real* sre,
       pass8_vec<W, Sign, Real>(st.m, s, sre, sim, dre, dim, twr, twi);
       break;
     default:
-      passg_soa<4, Real>(st.r, st.m, s, sre, sim, dre, dim, twr, twi,
-                         Sign < 0 ? st.wrr_f : st.wrr_i,
-                         Sign < 0 ? st.wri_f : st.wri_i);
+      passg_soa<Real>(st.r, st.m, s, sre, sim, dre, dim, twr, twi,
+                      Sign < 0 ? st.wrr_f : st.wrr_i,
+                      Sign < 0 ? st.wri_f : st.wri_i);
       break;
   }
 }
-#endif  // SOI_BATCH_VECEXT
 
 // One pass at the widest vector width that divides the butterfly span s
 // (capped by the dispatched tier width max_w). The span starts at v and
 // multiplies by each radix, so early passes may run narrower than the
-// machine width while later passes always fill it.
+// machine width while later passes always fill it. No tier is wider than
+// 64 bytes, so double builds carry no 16-lane kernels.
 template <int Sign, class Real>
 void run_stage_any(int max_w, const BStage<Real>& st, std::int64_t s,
                    const Real* sre, const Real* sim, Real* dre, Real* dim) {
-#ifdef SOI_BATCH_VECEXT
-  int w = max_w;
+  constexpr int kMaxLanes = 64 / static_cast<int>(sizeof(Real));
+  int w = std::min(max_w, kMaxLanes);
   while (w > 1 && s % w != 0) w /= 2;
   switch (w) {
     case 16:
-      run_stage_vec<16, Sign, Real>(st, s, sre, sim, dre, dim);
-      return;
+      if constexpr (kMaxLanes >= 16) {
+        run_stage<16, Sign, Real>(st, s, sre, sim, dre, dim);
+        return;
+      }
+      [[fallthrough]];
     case 8:
-      run_stage_vec<8, Sign, Real>(st, s, sre, sim, dre, dim);
+      run_stage<8, Sign, Real>(st, s, sre, sim, dre, dim);
       return;
     case 4:
-      run_stage_vec<4, Sign, Real>(st, s, sre, sim, dre, dim);
+      run_stage<4, Sign, Real>(st, s, sre, sim, dre, dim);
       return;
     case 2:
-      run_stage_vec<2, Sign, Real>(st, s, sre, sim, dre, dim);
+      run_stage<2, Sign, Real>(st, s, sre, sim, dre, dim);
       return;
     default:
-      run_stage_scalar<1, Sign, Real>(st, s, sre, sim, dre, dim);
+      run_stage<1, Sign, Real>(st, s, sre, sim, dre, dim);
       return;
   }
-#else
-  switch (max_w) {
-    case 16:
-      run_stage_scalar<16, Sign, Real>(st, s, sre, sim, dre, dim);
-      return;
-    case 8:
-      run_stage_scalar<8, Sign, Real>(st, s, sre, sim, dre, dim);
-      return;
-    case 4:
-      run_stage_scalar<4, Sign, Real>(st, s, sre, sim, dre, dim);
-      return;
-    case 2:
-      run_stage_scalar<2, Sign, Real>(st, s, sre, sim, dre, dim);
-      return;
-    default:
-      run_stage_scalar<1, Sign, Real>(st, s, sre, sim, dre, dim);
-      return;
-  }
-#endif
 }
 
 // Runs every stage over one SoA chunk of V lanes, ping-ponging between the
@@ -1242,11 +906,7 @@ class BatchEngine {
         1, kScratchBudget / (4 * n_ * static_cast<std::int64_t>(sizeof(Real))));
     std::int64_t v = width_;
     if (v <= 0) {
-#ifdef SOI_BATCH_VECEXT
       v = std::is_same_v<Real, double> ? 4 : 8;
-#else
-      v = std::max<std::int64_t>(2 * simd_width<Real>(tier_), 8);
-#endif
     }
     return std::clamp<std::int64_t>(std::min(v, count), 1, cap);
   }
@@ -1364,7 +1024,6 @@ class BatchEngine {
       stages_.push_back(st);
       nt = m;
     }
-#ifdef SOI_BATCH_VECEXT
     // Double/v=4 fast-path eligibility, decided once per plan. The shuffle
     // transposes need 4-element tiles (n % 4); the paired first pass needs
     // a radix-8 head with an even butterfly count; the fused last pass
@@ -1400,7 +1059,6 @@ class BatchEngine {
         }
       }
     }
-#endif
   }
 
   template <int Sign>
@@ -1418,7 +1076,6 @@ class BatchEngine {
   void run_chunk_fast(const C* inb, std::int64_t ibs, C* outb,
                       std::int64_t obs, Real scale, Real* are, Real* aim,
                       Real* bre, Real* bim) const {
-#ifdef SOI_BATCH_VECEXT
     if constexpr (std::is_same_v<Real, double>) {
       const Real* sre = are;
       const Real* sim = aim;
@@ -1461,18 +1118,7 @@ class BatchEngine {
       } else {
         store_shuf4<false>(sre, sim, n_, obs, scale, outb);
       }
-      return;
     }
-#endif
-    (void)inb;
-    (void)ibs;
-    (void)outb;
-    (void)obs;
-    (void)scale;
-    (void)are;
-    (void)aim;
-    (void)bre;
-    (void)bim;
   }
 
   void execute_smooth(const C* in, BatchLayout lin, C* out, BatchLayout lout,

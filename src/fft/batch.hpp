@@ -8,15 +8,16 @@
 //   * split-complex SoA working set: re/im of lane v, element j at
 //     [j*V + v] in two separate Real arrays — unit-stride vector loads for
 //     every butterfly leg, twiddles splat across lanes,
-//   * explicitly vectorized kernels: compile-time width templates over
-//     Real lanes, dispatched at runtime on the detected ISA
-//     (scalar / SSE2 / AVX2 / AVX-512 — the convolve.cpp tile pattern),
+//   * explicitly vectorized kernels: one vector-extension body per radix,
+//     a compile-time width template over Real lanes (W = 1 is plain Real),
+//     with the width dispatched at runtime on the detected ISA
+//     (scalar / SSE2 / AVX2 / AVX-512 — the convolve.cpp tile pattern);
+//     the tier changes speed, never bits,
 //   * a radix-8 pass shortening power-of-two schedules by a third,
 //   * fused strided data movement: the batch's input/output layouts are
 //     parameters, so the stride-P permutation between the SOI pipeline's
-//     two FFT stages (and NdFft's inter-axis transposes) become the
-//     cache-blocked load/store phases of the batch pass instead of
-//     separate sweeps over memory,
+//     two FFT stages becomes the cache-blocked load/store phases of the
+//     batch pass instead of a separate sweep over memory,
 //   * OpenMP parallelism over batch chunks of V transforms.
 //
 // Non-smooth sizes run BATCHED Rader / Bluestein: the permutation, chirp
@@ -41,8 +42,8 @@ namespace soi::fft {
 ///   contiguous batch (I_count (x) F_n): {n, 1}
 ///   interleaved batch (F_n (x) I_count): {1, count}
 /// A store layout of {1, count} writes the transpose of a contiguous
-/// input directly — this is how the SOI stride-P permutation and NdFft's
-/// axis rotations fuse into the batch pass.
+/// input directly — this is how the SOI stride-P permutation fuses into
+/// the batch pass.
 struct BatchLayout {
   std::int64_t batch_stride = 0;
   std::int64_t elem_stride = 1;

@@ -1,8 +1,9 @@
 // Runtime SIMD capability detection for the batched FFT executor's kernel
-// dispatch. The kernels themselves are compile-time width templates (plain
-// fixed-trip-count loops the compiler lowers to vector code); this header
-// only decides WHICH width to run at on the current machine, mirroring the
-// tile-width dispatch of the convolution kernel in src/soi/convolve.cpp.
+// dispatch. The kernels themselves are compile-time width templates written
+// in GCC/Clang vector extensions (one body per radix; width 1 is plain
+// Real); this header only decides WHICH width to run at on the current
+// machine, mirroring the tile-width dispatch of the convolution kernel in
+// src/soi/convolve.cpp. Every width computes the same bits.
 //
 // The tier can be forced with the SOI_SIMD environment variable
 // (scalar | sse2 | avx2 | avx512) — used by the parity tests to exercise

@@ -13,7 +13,6 @@
 //   tune::WisdomStore                           persisted tuned decisions
 #pragma once
 
-#include "baseline/fft2d_dist.hpp"
 #include "baseline/sixstep.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -21,7 +20,6 @@
 #include "fft/dft.hpp"
 #include "fft/engine.hpp"
 #include "fft/plan.hpp"
-#include "fft/multi.hpp"
 #include "fft/real.hpp"
 #include "net/costmodel.hpp"
 #include "net/registry.hpp"

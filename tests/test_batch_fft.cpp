@@ -7,6 +7,10 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <optional>
+#include <string>
+#include <type_traits>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -234,27 +238,88 @@ TEST(BatchFftStrided, GenericStridesRoundTrip) {
 
 // --- SIMD dispatch ---------------------------------------------------------
 
-TEST(BatchFftSimd, AllReachableTiersAgree) {
-  // Force each tier at or below the host's and check bit-level-ish parity
-  // between them (same arithmetic order across widths is NOT guaranteed,
-  // so compare against the scalar plan with the usual tolerance).
-  const std::int64_t n = 240, count = 17;
-  const cvec x = random_signal(n * count, 41);
-  cvec want(x.size());
-  reference_batch(n, x, want, count, false);
-  const SimdTier host = detect_simd_tier();
+// Saves the caller's SOI_SIMD and restores it on scope exit, so a suite
+// run under a forced tier keeps that tier for the tests that follow.
+class SimdEnvGuard {
+ public:
+  SimdEnvGuard() {
+    if (const char* v = std::getenv("SOI_SIMD")) saved_ = v;
+  }
+  ~SimdEnvGuard() {
+    if (saved_) {
+      setenv("SOI_SIMD", saved_->c_str(), 1);
+    } else {
+      unsetenv("SOI_SIMD");
+    }
+  }
+  SimdEnvGuard(const SimdEnvGuard&) = delete;
+  SimdEnvGuard& operator=(const SimdEnvGuard&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+// Every reachable tier runs the same kernel body per radix (the tier only
+// picks the vector width), so each must give the first tier's bits; the
+// double results are also checked against the scalar plan.
+template <class Real>
+void expect_tiers_bit_equal(std::int64_t n, std::int64_t count, bool inverse,
+                            SimdTier host) {
+  const cvec xd = random_signal(n * count, 41 + static_cast<std::uint64_t>(n));
+  cvec_t<Real> x(xd.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = {static_cast<Real>(xd[i].real()), static_cast<Real>(xd[i].imag())};
+  }
+  cvec want(xd.size());
+  reference_batch(n, xd, want, count, inverse);
+  cvec_t<Real> first;
   for (const char* t : {"scalar", "sse2", "avx2", "avx512"}) {
     setenv("SOI_SIMD", t, 1);
-    BatchFft batch(n);  // detection happens at construction
+    BatchFftT<Real> batch(n);  // detection happens at construction
     EXPECT_LE(static_cast<int>(batch.simd_tier()), static_cast<int>(host));
-    cvec got(x.size());
-    batch.forward(x, got, count);
-    EXPECT_LT(max_err(got, want), tol_for(n)) << "tier=" << t;
+    cvec_t<Real> got(x.size());
+    if (inverse) {
+      batch.inverse(x, got, count);
+    } else {
+      batch.forward(x, got, count);
+    }
+    const std::string where = std::string("tier=") + t + " n=" +
+                              std::to_string(n) + " count=" +
+                              std::to_string(count) +
+                              " inverse=" + std::to_string(inverse);
+    if constexpr (std::is_same_v<Real, double>) {
+      EXPECT_LT(max_err(got, want), tol_for(n)) << where;
+    }
+    if (first.empty()) {
+      first = got;
+    } else {
+      EXPECT_EQ(std::memcmp(got.data(), first.data(),
+                            got.size() * sizeof(got[0])),
+                0)
+          << where << " differs in bits from tier=scalar";
+    }
   }
+}
+
+TEST(BatchFftSimd, AllReachableTiersAgree) {
+  // Force each tier at or below the host's: 240 runs only radix-2/3/4/5/8
+  // passes, 112 = 7*16 and 1001 = 7*11*13 add the generic-radix kernel;
+  // counts 1 and 3 give odd butterfly spans (one-lane passes).
+  const SimdEnvGuard guard;
   unsetenv("SOI_SIMD");
+  const SimdTier host = detect_simd_tier();
+  for (std::int64_t n : {240, 112, 1001}) {
+    for (std::int64_t count : {1, 3, 17}) {
+      for (bool inverse : {false, true}) {
+        expect_tiers_bit_equal<double>(n, count, inverse, host);
+        expect_tiers_bit_equal<float>(n, count, inverse, host);
+      }
+    }
+  }
 }
 
 TEST(BatchFftSimd, EnvCannotRaiseTier) {
+  const SimdEnvGuard guard;
   setenv("SOI_SIMD", "avx512", 1);
   const SimdTier forced = detect_simd_tier();
   unsetenv("SOI_SIMD");

@@ -176,6 +176,26 @@ TEST(Pipeline, RealSteadyStateAllocatesNothing) {
   EXPECT_EQ(plan.workspace().growths(), 0);
 }
 
+// Runs `run_once` (one forward, or one epoch) twice on every rank to warm
+// up, then stores in `delta` the alloc_stats() count of one more call
+// bracketed by barriers. Every rank reads `before` before any rank starts
+// the counted call, so no rank's allocations escape the window.
+template <class Fn>
+void steady_epoch_allocs(net::Comm& comm, std::mutex& mu, std::int64_t& delta,
+                         Fn run_once) {
+  run_once();
+  run_once();
+  comm.barrier();
+  const std::int64_t before = alloc_stats().count;
+  comm.barrier();
+  run_once();
+  comm.barrier();
+  if (comm.rank() == 0) {
+    std::lock_guard<std::mutex> lock(mu);
+    delta = alloc_stats().count - before;
+  }
+}
+
 TEST(Pipeline, DistSteadyStateAllocatesNothing) {
   const std::int64_t n = 8192;
   const int ranks = 4;
@@ -187,44 +207,16 @@ TEST(Pipeline, DistSteadyStateAllocatesNothing) {
     const std::int64_t m = plan.local_size();
     cvec y(static_cast<std::size_t>(m));
     const cspan xin{x.data() + comm.rank() * m, static_cast<std::size_t>(m)};
-    plan.forward(xin, y);  // warm within THIS rank thread's lifetime
-    plan.forward(xin, y);
-    comm.barrier();
-    const std::int64_t before = alloc_stats().count;
-    plan.forward(xin, y);
-    comm.barrier();
-    // Between the barriers every rank ran exactly one steady-state
-    // forward, so the process-global counter must not have moved.
-    if (comm.rank() == 0) {
-      std::lock_guard<std::mutex> lock(mu);
-      delta = alloc_stats().count - before;
-    }
+    // Warm-up runs within THIS rank thread's lifetime; then every rank
+    // runs exactly one steady-state forward inside the counted window, so
+    // the process-global counter must not move.
+    steady_epoch_allocs(comm, mu, delta, [&] { plan.forward(xin, y); });
     EXPECT_EQ(plan.workspace().growths(), 0);
   });
   EXPECT_EQ(delta, 0);
 }
 
 // --- co-scheduled (multi-member epoch) steady state -------------------------
-
-// Runs `run_epoch_once` twice on every rank to warm up, then stores in
-// `delta` the alloc_stats() count of one more call bracketed by barriers.
-// Every rank reads `before` before any rank starts the counted call, so
-// no rank's allocations escape the window.
-template <class Fn>
-void steady_epoch_allocs(net::Comm& comm, std::mutex& mu, std::int64_t& delta,
-                         Fn run_epoch_once) {
-  run_epoch_once();
-  run_epoch_once();
-  comm.barrier();
-  const std::int64_t before = alloc_stats().count;
-  comm.barrier();
-  run_epoch_once();
-  comm.barrier();
-  if (comm.rank() == 0) {
-    std::lock_guard<std::mutex> lock(mu);
-    delta = alloc_stats().count - before;
-  }
-}
 
 TEST(Pipeline, CoScheduledSamePlanEpochAllocatesNothing) {
   // Three instances of one plan in one epoch: per-instance arenas,
@@ -654,16 +646,7 @@ TEST(Pipeline, StagedTopologyDeepChunksAllocateNothing) {
       cvec y(static_cast<std::size_t>(m));
       const cspan xin{x.data() + comm.rank() * m,
                       static_cast<std::size_t>(m)};
-      plan.forward(xin, y);
-      plan.forward(xin, y);
-      comm.barrier();
-      const std::int64_t before = alloc_stats().count;
-      plan.forward(xin, y);
-      comm.barrier();
-      if (comm.rank() == 0) {
-        std::lock_guard<std::mutex> lock(mu);
-        delta = alloc_stats().count - before;
-      }
+      steady_epoch_allocs(comm, mu, delta, [&] { plan.forward(xin, y); });
       EXPECT_EQ(plan.workspace().growths(), 0);
     });
     EXPECT_EQ(delta, 0) << "cd=" << c.cd << " topo=" << c.topo;
@@ -687,16 +670,7 @@ TEST(Pipeline, ChunkedDistSteadyStateAllocatesNothing) {
     const std::int64_t m = plan.local_size();
     cvec y(static_cast<std::size_t>(m));
     const cspan xin{x.data() + comm.rank() * m, static_cast<std::size_t>(m)};
-    plan.forward(xin, y);
-    plan.forward(xin, y);
-    comm.barrier();
-    const std::int64_t before = alloc_stats().count;
-    plan.forward(xin, y);
-    comm.barrier();
-    if (comm.rank() == 0) {
-      std::lock_guard<std::mutex> lock(mu);
-      delta = alloc_stats().count - before;
-    }
+    steady_epoch_allocs(comm, mu, delta, [&] { plan.forward(xin, y); });
     EXPECT_EQ(plan.workspace().growths(), 0);
   });
   EXPECT_EQ(delta, 0);
